@@ -17,6 +17,17 @@ that for lambda = 0 the characteristic function is the Gaussian in
 (E, V) exactly.  Their pointwise agreement is a standing test.  General
 initial laws enter by the method of characteristics:
 m_hat(t, w) = G_hat(t, w) * m0_hat(w * weight(t, 0)).
+
+Densities (one dimension) are inverted from the moment form, so a
+lambda = 0 density needs no eta-quadrature at all and a lambda > 0 one
+integrates only the lambda Q term.  Since Re(p_hat - 1) <= 0 and
+|m0_hat| <= 1, the modulus obeys
+
+    |m_hat(t, w)| <= exp(-delta^2 w^2 S / 2),
+    S = int_0^t weight(t, eta)^2 d eta = V_fund(t) / (delta^2 + lambda M2),
+
+and frequencies where that exponent is below -800 (exp underflows to
+exactly 0.0 below about -745) are left at zero without being evaluated.
 """
 
 from __future__ import annotations
@@ -33,6 +44,10 @@ from .model import InitialLaw, ScenarioSpec, jump_charfn_batch, jump_moments, ju
 from .moments import MomentPath, propagate_moments
 
 _MAX_QUAD_NODES = 1 << 16
+# Log-modulus bound below which a density frequency is not evaluated: exp()
+# of anything under about -745 is exactly 0.0, and the margin covers the
+# difference between the bound's S and its quadrature.
+_LOG_UNDERFLOW = -800.0
 
 
 @dataclass
@@ -88,14 +103,17 @@ class CharFunEvaluator:
     """Evaluates the solution characteristic function for one scenario.
 
     Holds the backward solution, the fundamental-solution moment path
-    (started from a Dirac mass at the origin) and the eta-quadrature
-    resolution M.  Evaluations double M until two successive composite
-    Simpson values agree to 1e-6 and fail if that never happens.
+    (started from a Dirac mass at the origin) and the starting
+    eta-quadrature resolution M.  Evaluations double M until two
+    successive composite Simpson values agree to 1e-6 and fail if that
+    never happens.  Densities use the moment form, whose only quadrature
+    is the lambda Q term, and skip the frequencies whose modulus bound
+    underflows (see the module docstring).
     """
 
     def __init__(self, spec: ScenarioSpec, sol: HjbSolution, fundamental: MomentPath, M: int = 512):
         if M < 2 or M % 2:
-            raise ValueError("M must be a positive even integer")
+            raise ScenarioError(f"quadrature nodes M={M}: must be a positive even integer")
         self.spec = spec
         self.sol = sol
         self.fundamental = fundamental
@@ -238,9 +256,25 @@ class CharFunEvaluator:
         """m_hat(t, omega) = G_hat(t, omega) * m0_hat(omega * weight(t, 0))."""
         w = self._omega_matrix(omega)
         g = np.asarray(self.eval_fundamental_charfun(t, w))
-        zeta = w * self.sol.weight(t, 0.0)
-        m0 = self.initial_charfn(zeta, initial)
-        return self._shape_result(g.reshape(-1) * m0, omega)
+        return self._shape_result(g.reshape(-1) * self._initial_factor(t, w, initial), omega)
+
+    def _initial_factor(self, t: float, w: np.ndarray, initial: InitialLaw | None) -> np.ndarray:
+        """m0_hat(w * weight(t, 0)) for frequency vectors w of shape (m, n)."""
+        return self.initial_charfn(w * self.sol.weight(t, 0.0), initial)
+
+    def log_modulus_bound(self, t: float, omega: np.ndarray) -> np.ndarray:
+        """Upper bound -delta^2 w^2 S / 2 on log |m_hat(t, w)| in one dimension.
+
+        S = int_0^t weight(t, eta)^2 d eta is read off the fundamental
+        variance, V_fund(t) = (delta^2 + lambda M2) S.  The bound is 0
+        (no information) when delta = 0.
+        """
+        omega = np.asarray(omega, float)
+        delta2 = self.spec.delta**2
+        if delta2 == 0.0:
+            return np.zeros(omega.shape)
+        S = float(self._V_sp(t)) / (delta2 + self.spec.lam * self._M2)
+        return -0.5 * delta2 * S * omega * omega
 
     def solution_moments(self, t: float, initial: InitialLaw | None = None) -> tuple[np.ndarray, float]:
         """Mean and per-coordinate variance of the full solution at time t."""
@@ -261,10 +295,17 @@ class CharFunEvaluator:
         """Density at time t by inverse DFT of the solution characteristic function.
 
         One-dimensional only.  Default bounds are mean +- 10 standard
-        deviations; explicit bounds must cover at least 8.
+        deviations; explicit bounds must cover at least 8.  m_hat is the
+        moment form of G_hat times m0_hat(w * weight(t, 0)): closed form
+        for lambda = 0, otherwise the lambda Q term by Simpson doubling
+        from M in chunks of 512 frequencies.  Frequencies whose
+        ``log_modulus_bound`` is below -800 stay exactly 0.0 and are not
+        evaluated; every other one is.
         """
         if self.spec.n != 1:
             raise ScenarioError("density inversion supports dimension 1 only")
+        if n_x < 2:
+            raise ScenarioError(f"density grid n_x={n_x}: needs at least 2 points")
         self._check_time(t)
         E, V = self.solution_moments(t, initial)
         mean, sd = float(E[0]), math.sqrt(max(V, 0.0))
@@ -280,10 +321,12 @@ class CharFunEvaluator:
         x = np.linspace(x_lo, x_hi, n_x, endpoint=False)
         dx = x[1] - x[0]
         omega = 2.0 * math.pi * np.fft.fftfreq(n_x, d=dx)
-        mhat = np.empty(n_x, complex)
-        for start in range(0, n_x, 512):
-            chunk = omega[start : start + 512]
-            mhat[start : start + 512] = self.eval_solution_charfun(t, chunk, initial)
+        keep = np.flatnonzero(self.log_modulus_bound(t, omega) > _LOG_UNDERFLOW)
+        mhat = np.zeros(n_x, complex)
+        for start in range(0, keep.size, 512):
+            chunk = keep[start : start + 512]
+            mhat[chunk] = self.eval_charfun_via_moments(t, omega[chunk])
+        mhat[keep] *= self._initial_factor(t, omega[keep, None], initial)
         m = np.fft.ifft(mhat * np.exp(1j * omega * x_lo)).real / dx
 
         mass = float(np.trapezoid(m, x))

@@ -120,7 +120,7 @@ def solve_backward(spec: ScenarioSpec, N: int = 4096, b_override=None) -> HjbSol
     override is rejected.
     """
     if N < 100:
-        raise ValueError("N must be >= 100")
+        raise ScenarioError(f"grid N={N}: must be >= 100")
     n = spec.n
     a_fn = scalar_fn(spec.cost.a)
     c_fn = scalar_fn(spec.cost.c)

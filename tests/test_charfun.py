@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mfg_moments import (
     CharFunEvaluator,
@@ -13,6 +14,7 @@ from mfg_moments import (
     propagate_moments,
     solve_backward,
 )
+from mfg_moments.charfun import _LOG_UNDERFLOW
 
 from conftest import make_spec
 
@@ -158,6 +160,12 @@ class TestDensityInversion:
         with pytest.raises(GridResolutionError, match="8 sigma"):
             ev.invert_density(1.0, x_lo=-2.0, x_hi=2.0)
 
+    def test_too_few_grid_points_rejected(self, brownian_spec):
+        ev = evaluator(brownian_spec)
+        for n_x in (0, 1):
+            with pytest.raises(ScenarioError, match="n_x"):
+                ev.invert_density(1.0, n_x=n_x)
+
     def test_dimension_guard(self):
         spec = make_spec(n=2, delta=1.0)
         ev = evaluator(spec)
@@ -171,6 +179,100 @@ class TestDensityInversion:
         assert np.array_equal(grid.x, again.x)
         assert np.array_equal(grid.m, again.m)
         assert again.mass == grid.mass
+
+
+def _full_band_density(ev, t, n_x):
+    """Inverse FFT of the direct form over every frequency, in chunks of 512."""
+    E, V = ev.solution_moments(t)
+    mean, sd = float(E[0]), math.sqrt(V)
+    x = np.linspace(mean - 10.0 * sd, mean + 10.0 * sd, n_x, endpoint=False)
+    dx = x[1] - x[0]
+    omega = 2.0 * math.pi * np.fft.fftfreq(n_x, d=dx)
+    mhat = np.concatenate([ev.eval_solution_charfun(t, omega[s : s + 512])
+                           for s in range(0, n_x, 512)])
+    return omega, mhat, np.fft.ifft(mhat * np.exp(1j * omega * x[0])).real / dx
+
+
+class TestMomentFormInversion:
+    DESIGNS = {
+        # a = -3 makes u(t)/u(eta) vary fast, so the direct form reaches the most nodes
+        "point-heavy": dict(a=-3.0, A_T=0.5, b=0.1, B_T=0.1, delta=0.3, x0=0.5, lam=1.0,
+                            jump={"type": "point", "params": {"z0": 0.5}}),
+        "gaussian-initial": dict(a=0.2, A_T=-0.1, b=-0.1, B_T=0.1, delta=0.4, x0=0.3, v0=0.15,
+                                 lam=1.0, jump={"type": "gaussian",
+                                                "params": {"mu": -0.1, "sigma": 0.25}}),
+    }
+
+    @pytest.mark.parametrize("name", sorted(DESIGNS))
+    def test_matches_full_band_direct_inversion(self, name):
+        ev = evaluator(make_spec(**self.DESIGNS[name]), N=2048, M=512)
+        t, n_x = 1.0, 2048
+        omega, mhat, ref = _full_band_density(ev, t, n_x)
+        grid = ev.invert_density(t, n_x=n_x)
+        assert np.max(np.abs(grid.m - ref)) <= 1e-10
+        skipped = ev.log_modulus_bound(t, omega) <= _LOG_UNDERFLOW
+        assert 0 < np.count_nonzero(skipped) < n_x
+        assert np.all(mhat[skipped] == 0.0)
+
+    def test_no_frequency_skipped_without_diffusion(self, pure_jump_spec):
+        ev = evaluator(pure_jump_spec)
+        assert np.all(ev.log_modulus_bound(1.0, np.linspace(-1e4, 1e4, 9)) == 0.0)
+
+
+_JUMPS = st.one_of(
+    st.builds(lambda z0: {"type": "point", "params": {"z0": z0}}, st.floats(-1.0, 1.0)),
+    st.builds(lambda mu, sigma: {"type": "gaussian", "params": {"mu": mu, "sigma": sigma}},
+              st.floats(-0.5, 0.5), st.floats(0.05, 0.5)),
+    st.builds(lambda lo, width: {"type": "uniform", "params": {"lo": lo, "hi": lo + width}},
+              st.floats(-0.5, 0.5), st.floats(0.05, 1.0)),
+    st.builds(lambda rate: {"type": "exponential", "params": {"rate": rate}},
+              st.floats(1.0, 5.0)),
+)
+
+
+@st.composite
+def _focal_free_scenarios(draw, jumps=True):
+    """1-D scenarios with a <= 1/2, A_T <= 0.1 and T <= 1, so u has no zero on [0, T]."""
+    lam = draw(st.sampled_from([0.0, 0.5, 2.0])) if jumps else 0.0
+    return make_spec(
+        a=draw(st.floats(-1.0, 0.5)), b=draw(st.floats(-0.5, 0.5)),
+        A_T=draw(st.floats(-0.3, 0.1)), B_T=draw(st.floats(-0.3, 0.3)),
+        T=draw(st.floats(0.3, 1.0)), delta=draw(st.floats(0.2, 1.0)),
+        lam=lam, jump=draw(_JUMPS) if lam > 0 else None,
+        x0=draw(st.floats(-1.0, 1.0)), v0=draw(st.sampled_from([0.0, 0.1, 0.5])),
+    )
+
+
+_PROPERTY_OMEGAS = np.linspace(0.5, 20.0, 8)
+
+
+class TestCharfunProperties:
+    @settings(max_examples=20, deadline=None)
+    @given(spec=_focal_free_scenarios(), frac=st.floats(0.1, 1.0))
+    def test_both_forms_are_characteristic_functions(self, spec, frac):
+        ev = evaluator(spec, N=512, M=64)
+        t = frac * spec.T
+        for form in (ev.eval_fundamental_charfun, ev.eval_charfun_via_moments):
+            assert abs(form(t, 0.0) - 1.0) <= 1e-14
+            plus = form(t, _PROPERTY_OMEGAS)
+            minus = form(t, -_PROPERTY_OMEGAS)
+            assert np.max(np.abs(plus)) <= 1.0 + 1e-12
+            assert np.max(np.abs(minus - np.conj(plus))) <= 1e-12
+
+    @settings(max_examples=20, deadline=None)
+    @given(spec=_focal_free_scenarios(), frac=st.floats(0.1, 1.0))
+    def test_modulus_bound_holds(self, spec, frac):
+        ev = evaluator(spec, N=512, M=64)
+        t = frac * spec.T
+        w = np.linspace(-30.0, 30.0, 13)
+        phi = np.asarray(ev.eval_solution_charfun(t, w))
+        assert np.all(np.abs(phi) <= np.exp(ev.log_modulus_bound(t, w) + 1e-6))
+
+    @settings(max_examples=15, deadline=None)
+    @given(spec=_focal_free_scenarios(jumps=False), frac=st.floats(0.1, 1.0))
+    def test_diffusion_density_has_unit_mass(self, spec, frac):
+        grid = evaluator(spec, N=512).invert_density(frac * spec.T, n_x=1024)
+        assert abs(grid.mass - 1.0) < 1e-6
 
 
 class TestMomentExtraction:

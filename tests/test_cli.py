@@ -95,6 +95,16 @@ class TestDensity:
         names = {p.name for p in out.iterdir()}
         assert {"density_t0.500000.csv", "density_t1.000000.csv", "manifest.json"} == names
 
+    @pytest.mark.parametrize("flag,value", [("--quad", "3"), ("--quad", "0"), ("--xgrid", "0"),
+                                            ("--xgrid", "1"), ("--grid", "0")])
+    def test_invalid_size_is_a_one_line_validation_error(self, scenario_file, tmp_path, capsys,
+                                                         flag, value):
+        args = ["density", "--scenario", scenario_file, "--times", "0.5", "--out",
+                str(tmp_path / "out"), "--grid", "512", "--xgrid", "1024", "--quad", "128"]
+        assert main(args + [flag, value]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: ") and err.count("\n") == 1
+
 
 class TestSimulate:
     def test_empty_record_times_header_only(self, scenario_file, tmp_path):
