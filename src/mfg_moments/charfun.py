@@ -28,6 +28,10 @@ integrates only the lambda Q term.  Since Re(p_hat - 1) <= 0 and
 
 and frequencies where that exponent is below -800 (exp underflows to
 exactly 0.0 below about -745) are left at zero without being evaluated.
+
+E(t) and V(t) between grid nodes come from the fundamental moment path's
+cubic Hermite interpolants (slopes E' and V', see ``moments``), and the
+weight u(t)/u(eta) from the backward solution's (slope u', see ``hjb``).
 """
 
 from __future__ import annotations
@@ -36,7 +40,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import ConvergenceError, GridResolutionError, ScenarioError, SingularityError
 from .hjb import HjbSolution, solve_backward
@@ -118,8 +121,6 @@ class CharFunEvaluator:
         self.sol = sol
         self.fundamental = fundamental
         self.M = M
-        self._E_sp = CubicSpline(fundamental.t, fundamental.E, axis=0)
-        self._V_sp = CubicSpline(fundamental.t, fundamental.V)
         if spec.lam > 0:
             self._M1, self._M2 = jump_moments(spec.jump)
             if spec.n > 1:
@@ -212,7 +213,7 @@ class CharFunEvaluator:
             R = w[:, None, :] * wt[None, :, None]          # (m, M+1, n)
             quad = 0.5 * spec.delta**2 * np.sum(R * R, axis=-1)
             u_eta = self.sol.u_at(eta)
-            B_eta = self.sol._v_spline(eta) / u_eta[:, None]   # (M+1, n)
+            B_eta = self.sol.v_at(eta) / u_eta[:, None]        # (M+1, n)
             lin = 1j * np.einsum("ij,mij->mi", B_eta, R)
             out = quad + lin
             if spec.lam > 0:
@@ -226,8 +227,8 @@ class CharFunEvaluator:
         self._check_time(t)
         w = self._omega_matrix(omega)
         spec = self.spec
-        E = np.atleast_1d(self._E_sp(t))
-        V = float(self._V_sp(t))
+        E = np.atleast_1d(self.fundamental.E_at(t))
+        V = float(self.fundamental.V_at(t))
         log_g = -0.5 * np.sum(w * w, axis=-1) * V - 1j * (w @ E)
         if spec.lam > 0:
             m2_pc = self._M2 / spec.n
@@ -273,15 +274,15 @@ class CharFunEvaluator:
         delta2 = self.spec.delta**2
         if delta2 == 0.0:
             return np.zeros(omega.shape)
-        S = float(self._V_sp(t)) / (delta2 + self.spec.lam * self._M2)
+        S = float(self.fundamental.V_at(t)) / (delta2 + self.spec.lam * self._M2)
         return -0.5 * delta2 * S * omega * omega
 
     def solution_moments(self, t: float, initial: InitialLaw | None = None) -> tuple[np.ndarray, float]:
         """Mean and per-coordinate variance of the full solution at time t."""
         law = initial if initial is not None else self.spec.initial
         wt = self.sol.weight(t, 0.0)
-        E = wt * np.asarray(law.x0, float) + np.atleast_1d(self._E_sp(t))
-        V = wt**2 * law.v0 + float(self._V_sp(t))
+        E = wt * np.asarray(law.x0, float) + np.atleast_1d(self.fundamental.E_at(t))
+        V = wt**2 * law.v0 + float(self.fundamental.V_at(t))
         return E, V
 
     def invert_density(

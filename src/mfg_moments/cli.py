@@ -121,9 +121,11 @@ def _cmd_density(args) -> int:
     if not times:
         raise ScenarioError("density: at least one time is required")
     ev = CharFunEvaluator.from_scenario(spec, N=args.grid, M=args.quad)
+    # Every density is computed before --out is created, so a bad time or
+    # grid leaves no partial output behind.
+    grids = [ev.invert_density(t, n_x=args.xgrid) for t in times]
     out = _OutputWriter(args.out)
-    for t in times:
-        grid = ev.invert_density(t, n_x=args.xgrid)
+    for t, grid in zip(times, grids):
         out.write(f"density_t{t:.6f}.csv", grid.to_csv())
     out.manifest(
         "density",

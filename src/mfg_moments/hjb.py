@@ -10,6 +10,11 @@ regular); the exponential weight ``exp(2 int_eta^t A)`` is the exact signed
 ratio ``u(t)/u(eta)``.  A, B and the constant term C are derived
 quantities; C is only meaningful up to the first focal time when its
 sources are singular there.
+
+Off-grid values come from cubic Hermite interpolants (``hermite``) built
+from the solver's own derivatives: u from u', u' from ``u'' = -2 a(t) u``
+and v from ``v' = -lambda M1 u' - b u``.  Focal times are the zeros of
+the u cubic, found by safeguarded Newton steps inside each sign change.
 """
 
 from __future__ import annotations
@@ -19,10 +24,9 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.interpolate import CubicSpline
-from scipy.optimize import brentq
 
 from .errors import GridResolutionError, ScenarioError, SingularityError
+from .hermite import Hermite
 from .model import (
     ScenarioSpec,
     eval_scalar_grid,
@@ -44,7 +48,8 @@ class HjbSolution:
     of [0, T]); ``v = u B`` is regular as well.  ``A = udot/(2u)`` and
     ``B = v/u`` carry NaN markers where ``|u| < 1e-12``.  ``C`` is NaN past
     the first focal time (going backward from T) whenever its sources are
-    singular there.
+    singular there.  ``uddot`` and ``vdot`` are the derivatives of ``udot``
+    and ``v`` at the nodes, the slopes of their Hermite interpolants.
     """
 
     t: np.ndarray
@@ -56,32 +61,37 @@ class HjbSolution:
     C: np.ndarray
     singular_times: tuple[float, ...]
     spec: ScenarioSpec
+    uddot: np.ndarray
+    vdot: np.ndarray  # (N+1, n)
 
     @property
     def n(self) -> int:
         return self.v.shape[1]
 
     @cached_property
-    def _u_spline(self) -> CubicSpline:
-        return CubicSpline(self.t, self.u)
+    def _u_interp(self) -> Hermite:
+        return Hermite(self.t, self.u, self.udot)
 
     @cached_property
-    def _udot_spline(self) -> CubicSpline:
-        return CubicSpline(self.t, self.udot)
+    def _udot_interp(self) -> Hermite:
+        return Hermite(self.t, self.udot, self.uddot)
 
     @cached_property
-    def _v_spline(self) -> CubicSpline:
-        return CubicSpline(self.t, self.v, axis=0)
+    def _v_interp(self) -> Hermite:
+        return Hermite(self.t, self.v, self.vdot)
 
     def u_at(self, t):
-        return self._u_spline(t)
+        return self._u_interp(t)
+
+    def v_at(self, t):
+        return self._v_interp(t)
 
     def A_at(self, t):
-        return self._udot_spline(t) / (2.0 * self._u_spline(t))
+        return self._udot_interp(t) / (2.0 * self._u_interp(t))
 
     def B_at(self, t):
-        u = self._u_spline(t)
-        return self._v_spline(t) / (u[..., None] if np.ndim(t) else u)
+        u = self._u_interp(t)
+        return self._v_interp(t) / (u[..., None] if np.ndim(t) else u)
 
     def C_at(self, t) -> float:
         finite = np.isfinite(self.C)
@@ -96,10 +106,10 @@ class HjbSolution:
         """exp(2 int_eta^t A) as the signed ratio u(t)/u(eta)."""
         if t == eta:
             return 1.0
-        ue = float(self._u_spline(eta))
+        ue = float(self._u_interp(eta))
         if abs(ue) < U_ZERO_TOL:
             return math.nan
-        return float(self._u_spline(t)) / ue
+        return float(self._u_interp(t)) / ue
 
     def is_singular_on(self, t_max: float, t_min: float = 0.0) -> bool:
         return any(t_min <= s <= t_max for s in self.singular_times)
@@ -144,9 +154,11 @@ def solve_backward(spec: ScenarioSpec, N: int = 4096, b_override=None) -> HjbSol
     # Coefficients at nodes and midpoints (index 2k <-> node k); plain
     # Python floats keep the integration loop off numpy scalar overhead.
     th = np.linspace(0.0, T, 2 * N + 1)
-    a_h = eval_scalar_grid(a_fn, th).tolist()
+    a_grid = eval_scalar_grid(a_fn, th)
+    b_grid = eval_vector_grid(b_fn, th, n)
+    a_h = a_grid.tolist()
     c_h = eval_scalar_grid(c_fn, th).tolist()
-    b_h = [tuple(row) for row in eval_vector_grid(b_fn, th, n).tolist()]
+    b_h = [tuple(row) for row in b_grid.tolist()]
 
     u = np.empty(N + 1)
     udot = np.empty(N + 1)
@@ -198,15 +210,15 @@ def solve_backward(spec: ScenarioSpec, N: int = 4096, b_override=None) -> HjbSol
         A = np.where(near_zero, np.nan, udot / (2.0 * np.where(near_zero, 1.0, u)))
         B = np.where(near_zero[:, None], np.nan, v / np.where(near_zero, 1.0, u)[:, None])
 
-    singular = _locate_zeros(np.linspace(0.0, T, N + 1), u)
+    t_grid = np.linspace(0.0, T, N + 1)
+    singular = _locate_zeros(t_grid, u, udot)
     if singular:
         tainted = spec.delta > 0 or lam > 0 or float(np.max(np.abs(v))) > 1e-12
         if tainted:
-            t_grid = np.linspace(0.0, T, N + 1)
             C = np.where(t_grid < max(singular) + 0.5 * h, np.nan, C)
 
     return HjbSolution(
-        t=np.linspace(0.0, T, N + 1),
+        t=t_grid,
         u=u,
         udot=udot,
         A=A,
@@ -215,11 +227,20 @@ def solve_backward(spec: ScenarioSpec, N: int = 4096, b_override=None) -> HjbSol
         C=C,
         singular_times=tuple(singular),
         spec=spec,
+        **_node_slopes(a_grid[::2], b_grid[::2], lam * np.asarray(M1), u, udot),
     )
 
 
-def _locate_zeros(t: np.ndarray, u: np.ndarray) -> list[float]:
-    """Sign-change zeros of u, refined on the interpolating cubic."""
+def _node_slopes(a_nodes, b_nodes, lam_M1, u, udot) -> dict[str, np.ndarray]:
+    """``uddot = -2 a u`` and ``vdot = -lambda M1 u' - b u`` at the nodes."""
+    return {
+        "uddot": -2.0 * a_nodes * u,
+        "vdot": -lam_M1 * udot[:, None] - b_nodes * u[:, None],
+    }
+
+
+def _locate_zeros(t: np.ndarray, u: np.ndarray, udot: np.ndarray) -> list[float]:
+    """Sign-change zeros of u, refined on its Hermite cubic to 2e-12."""
     crossings = np.nonzero(u[:-1] * u[1:] < 0.0)[0]
     if len(crossings) == 0:
         return []
@@ -228,8 +249,8 @@ def _locate_zeros(t: np.ndarray, u: np.ndarray) -> list[float]:
         raise GridResolutionError(
             "grid too coarse to resolve a zero of u: two sign changes within 3 nodes"
         )
-    spline = CubicSpline(t, u)
-    return [float(brentq(spline, t[k], t[k + 1])) for k in crossings]
+    cubic = Hermite(t, u, udot)
+    return [cubic.root(k) for k in crossings]
 
 
 def closed_form_A_const(a: float, A_T: float, T: float, t: float) -> float:
@@ -343,7 +364,14 @@ def hjb_to_csv(sol: HjbSolution) -> str:
 
 
 def hjb_from_csv(text: str, spec: ScenarioSpec | None = None) -> HjbSolution:
-    """Rebuild an HjbSolution from its CSV serialization."""
+    """Rebuild an HjbSolution from its CSV serialization.
+
+    The slopes of the ``udot`` and ``v`` interpolants come from the
+    equations when ``spec`` is given, as in ``solve_backward``.  The CSV
+    holds no coefficients, so without a spec (or with a mean-field b,
+    which the spec does not fix) they are second-order finite differences
+    of the columns.
+    """
     lines = [ln for ln in text.splitlines() if ln.strip()]
     header = lines[0].split(",")
     n = sum(1 for name in header if name.startswith("v_"))
@@ -352,6 +380,16 @@ def hjb_from_csv(text: str, spec: ScenarioSpec | None = None) -> HjbSolution:
     v = data[:, 4 : 4 + n]
     B = data[:, 4 + n : 4 + 2 * n]
     C = data[:, 4 + 2 * n]
+    if spec is not None and spec.cost.b.kind != "meanfield":
+        lam_M1 = spec.lam * jump_moments(spec.jump)[0] if spec.lam > 0 else np.zeros(n)
+        a_nodes = eval_scalar_grid(scalar_fn(spec.cost.a), t)
+        b_nodes = eval_vector_grid(vector_fn(spec.cost.b, n), t, n)
+        slopes = _node_slopes(a_nodes, b_nodes, lam_M1, u, udot)
+    else:
+        slopes = {
+            "uddot": np.gradient(udot, t, edge_order=2),
+            "vdot": np.gradient(v, t, axis=0, edge_order=2),
+        }
     return HjbSolution(
         t=t,
         u=u,
@@ -360,6 +398,7 @@ def hjb_from_csv(text: str, spec: ScenarioSpec | None = None) -> HjbSolution:
         v=v,
         B=B,
         C=C,
-        singular_times=tuple(_locate_zeros(t, u)),
+        singular_times=tuple(_locate_zeros(t, u, udot)),
         spec=spec,
+        **slopes,
     )

@@ -10,17 +10,23 @@ production rate ``K = delta^2 + lambda * M2 / n``.  Both satisfy the
 first-order relations ``E' = 2 A E + B + lambda M1`` and ``V' = 4 A V + K``
 wherever A is finite, and the second-order residuals are checked on every
 propagation.
+
+Off-grid values come from cubic Hermite interpolants (``hermite``) built
+from the derivatives the propagation already has: E from E', E' from
+``E'' = -2 a E - b``, and V from ``V' = 2 (v0/u(0)^2) u u' + K (u' psi + u psi')``,
+the derivative of the (u, psi) pair.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import ConvergenceError, FormulaValidationError, ScenarioError, SingularityError
+from .hermite import Hermite
 from .hjb import HjbSolution, solve_backward
 from .model import (
     ScenarioSpec,
@@ -34,12 +40,19 @@ from .model import (
 
 @dataclass
 class MomentPath:
-    """Time-gridded expectation and per-coordinate variance with diagnostics."""
+    """Time-gridded expectation and per-coordinate variance with diagnostics.
+
+    ``E_prime`` and ``V_prime`` are the node slopes of the Hermite
+    interpolants behind ``E_at`` and ``V_at``; ``E_second`` is the slope
+    of E', which the mean-field fixed point interpolates.
+    """
 
     t: np.ndarray
-    E: np.ndarray        # (N+1, n)
-    E_prime: np.ndarray  # (N+1, n)
-    V: np.ndarray        # (N+1,)
+    E: np.ndarray         # (N+1, n)
+    E_prime: np.ndarray   # (N+1, n)
+    E_second: np.ndarray  # (N+1, n)
+    V: np.ndarray         # (N+1,)
+    V_prime: np.ndarray   # (N+1,)
     K: float
     residual_E: float
     residual_V: float | None
@@ -51,11 +64,19 @@ class MomentPath:
     def n(self) -> int:
         return self.E.shape[1]
 
+    @cached_property
+    def _E_interp(self) -> Hermite:
+        return Hermite(self.t, self.E, self.E_prime)
+
+    @cached_property
+    def _V_interp(self) -> Hermite:
+        return Hermite(self.t, self.V, self.V_prime)
+
     def E_at(self, t):
-        return CubicSpline(self.t, self.E, axis=0)(t)
+        return self._E_interp(t)
 
     def V_at(self, t):
-        return CubicSpline(self.t, self.V)(t)
+        return self._V_interp(t)
 
 
 def variance_rate(spec: ScenarioSpec) -> float:
@@ -136,7 +157,11 @@ def propagate_moments(
     v0 = spec.initial.v0
 
     th = np.linspace(0.0, spec.T, 2 * N + 1)
-    a_h = eval_scalar_grid(a_fn, th).tolist()
+    a_grid = eval_scalar_grid(a_fn, th)
+    b_grid = eval_vector_grid(b_fn, th, n)
+    a_h = a_grid.tolist()
+    a_nodes, b_nodes = a_grid[::2, None], b_grid[::2]
+    u, ud = sol.u, sol.udot
 
     if literal_init:
         # Quadrature forms via prefix integrals of the weight ratios.
@@ -145,27 +170,34 @@ def propagate_moments(
             gV = 1.0 / np.square(sol.u)
         cumB = _cumtrapz(gB, t)
         cumV = _cumtrapz(gV[:, None], t)[:, 0]
-        E = x0 + sol.u[:, None] * cumB
-        V = v0 + K * np.square(sol.u) * cumV
-        Ep = np.gradient(E, t, axis=0)
+        E = x0 + u[:, None] * cumB
+        V = v0 + K * np.square(u) * cumV
+        # Their derivatives by the product rule; x0 is added without
+        # propagation, so E - x0 is what solves E'' = -2 a E - b.
+        Ep = ud[:, None] * cumB + u[:, None] * gB
+        Epp = -2.0 * a_nodes * (E - x0) - b_nodes
+        Vp = K * (2.0 * u * ud * cumV + np.square(u) * gV)
         focal = False
     else:
         A0 = sol.udot[0] / (2.0 * u0)
         B0 = sol.v[0] / u0
         Ep0 = 2.0 * A0 * x0 + B0 + lam * M1
-        b_half = (-eval_vector_grid(b_fn, th, n)).tolist()
-        E, Ep = _rk4_second_order(a_h, b_half, x0, Ep0, h, N)
+        E, Ep = _rk4_second_order(a_h, (-b_grid).tolist(), x0, Ep0, h, N)
+        Epp = -2.0 * a_nodes * E - b_nodes
 
         zero_half = [(0.0,)] * (2 * N + 1)
-        psi, _ = _rk4_second_order(a_h, zero_half, (0.0,), (1.0 / u0,), h, N)
-        psi = psi[:, 0]
-        V_pair = (v0 / u0**2) * np.square(sol.u) + K * sol.u * psi
+        psi, psip = _rk4_second_order(a_h, zero_half, (0.0,), (1.0 / u0,), h, N)
+        psi, psip = psi[:, 0], psip[:, 0]
+        c = v0 / u0**2
+        V_pair = c * np.square(u) + K * u * psi
         V_pair[0] = v0
+        Vp_pair = 2.0 * c * u * ud + K * (ud * psi + u * psip)
         focal = bool(np.min(V_pair) < -1e-9 * max(1.0, float(np.max(np.abs(V_pair)))))
         V = np.abs(V_pair)
+        Vp = np.where(V_pair < 0.0, -Vp_pair, Vp_pair)
 
     path = MomentPath(
-        t=t, E=E, E_prime=Ep, V=V, K=K,
+        t=t, E=E, E_prime=Ep, E_second=Epp, V=V, V_prime=Vp, K=K,
         residual_E=math.nan, residual_V=None, residual_V_note="", focal=focal,
         literal=literal_init,
     )
@@ -432,12 +464,13 @@ def solve_meanfield_fixedpoint(
     t_it = np.linspace(0.0, spec.T, N_it + 1)
     E = np.tile(spec.x0, (N_it + 1, 1))
     Ep = np.zeros_like(E)
+    Epp = np.zeros_like(E)
     E_map_prev = None
 
-    def frozen_b(grid_t, E_grid, Ep_grid):
-        E_sp = CubicSpline(grid_t, E_grid, axis=0)
-        Ep_sp = CubicSpline(grid_t, Ep_grid, axis=0)
-        return lambda tk: b0 + b1 * E_sp(tk) + b2 * Ep_sp(tk)
+    def frozen_b(grid_t, E_grid, Ep_grid, Epp_grid):
+        E_it = Hermite(grid_t, E_grid, Ep_grid)
+        Ep_it = Hermite(grid_t, Ep_grid, Epp_grid)
+        return lambda tk: b0 + b1 * E_it(tk) + b2 * Ep_it(tk)
 
     iteration = 0
     converged = b1 == 0.0 and b2 == 0.0  # constant map: one solve is the fixed point
@@ -448,7 +481,7 @@ def solve_meanfield_fixedpoint(
                 f"mean-field fixed point did not converge in {max_iter} iterations "
                 f"(last increment {delta:.3e})"
             )
-        b_fn = frozen_b(t_it, E, Ep)
+        b_fn = frozen_b(t_it, E, Ep, Epp)
         path = propagate_moments(
             solve_backward(spec, N_it, b_override=b_fn), spec, b_override=b_fn
         )
@@ -458,17 +491,18 @@ def solve_meanfield_fixedpoint(
         if E_map_prev is not None:
             delta = min(delta, float(np.max(np.abs(path.E - E_map_prev))))
         if delta < tol:
-            E, Ep = path.E, path.E_prime
+            E, Ep, Epp = path.E, path.E_prime, path.E_second
             break
         E_map_prev = path.E
         E = 0.5 * (path.E + E)
         Ep = 0.5 * (path.E_prime + Ep)
+        Epp = 0.5 * (path.E_second + Epp)
 
     # Final pass with the converged coupling at the requested resolution
     # keeps (sol, path, b) consistent.
     iteration = max(iteration, 1)
     t = np.linspace(0.0, spec.T, N + 1)
-    b_fn = frozen_b(t_it, E, Ep)
+    b_fn = frozen_b(t_it, E, Ep, Epp)
     sol = solve_backward(spec, N, b_override=b_fn)
     path = propagate_moments(sol, spec, b_override=b_fn)
 
@@ -496,6 +530,11 @@ def moments_to_csv(path: MomentPath) -> str:
 
 
 def moments_from_csv(text: str) -> MomentPath:
+    """Rebuild a MomentPath from its CSV.
+
+    The CSV holds no coefficients, so the slopes of the E, E' and V
+    interpolants are second-order finite differences of the columns.
+    """
     lines = [ln for ln in text.splitlines() if ln.strip()]
     meta = {}
     for token in lines[0].lstrip("# ").split():
@@ -506,8 +545,10 @@ def moments_from_csv(text: str) -> MomentPath:
     E = data[:, 1:-1]
     V = data[:, -1]
     rv = float(meta.get("residual_V", "nan"))
+    Ep = np.gradient(E, t, axis=0, edge_order=2)
     return MomentPath(
-        t=t, E=E, E_prime=np.gradient(E, t, axis=0), V=V,
+        t=t, E=E, E_prime=Ep, E_second=np.gradient(Ep, t, axis=0, edge_order=2),
+        V=V, V_prime=np.gradient(V, t, edge_order=2),
         K=float(meta.get("K", "nan")),
         residual_E=float(meta.get("residual_E", "nan")),
         residual_V=None if math.isnan(rv) else rv,

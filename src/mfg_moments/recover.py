@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .errors import ConvergenceError, ScenarioError
 
@@ -173,6 +172,10 @@ def _fit_branch_E(branch: str, series: ObservedSeries, nu_min: float = 0.0):
     a uniform grid and are rejected as well; rates are capped where the
     hyperbolic basis overflows.
     """
+    # Imported here, not with the module: only recovery needs scipy, and
+    # loading it takes longer than the whole of a short CLI command.
+    from scipy.optimize import least_squares
+
     t, E = series.t, series.E
     if branch == "polynomial":
         beta, resid = _profiled_fit(branch, 0.0, t, E)

@@ -105,6 +105,14 @@ class TestDensity:
         err = capsys.readouterr().err
         assert err.startswith("validation error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("extra", [["--times", "0.5,7"], ["--times", "0.5", "--xgrid", "1"]])
+    def test_rejected_input_creates_no_output_directory(self, scenario_file, tmp_path, extra):
+        out = tmp_path / "out"
+        args = ["density", "--scenario", scenario_file, "--out", str(out), "--grid", "512",
+                "--quad", "128"]
+        assert main(args + extra) == 1
+        assert not out.exists()
+
 
 class TestSimulate:
     def test_empty_record_times_header_only(self, scenario_file, tmp_path):

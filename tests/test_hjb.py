@@ -3,20 +3,24 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.interpolate import CubicSpline
 
 from mfg_moments import (
     GridResolutionError,
+    ScenarioError,
     SingularityError,
     check_conditions,
     closed_form_A_const,
     eval_control_phi,
     hjb_from_csv,
     hjb_to_csv,
+    scenario_from_dict,
     solve_backward,
     weight,
 )
+from mfg_moments.hermite import Hermite
 
-from conftest import make_spec
+from conftest import make_doc, make_spec
 
 # (a, A_T, T) combinations whose linearizer has no zero inside [0, T]
 SAFE_CASES = [
@@ -137,6 +141,67 @@ class TestSolveBackward:
         assert np.array_equal(np.isnan(sol.C), np.isnan(again.C))
         finite = np.isfinite(sol.C)
         assert np.array_equal(sol.C[finite], again.C[finite])
+
+
+def _rel_err(got, ref):
+    return float(np.max(np.abs(np.asarray(got) - ref)) / np.max(np.abs(ref)))
+
+
+class TestInterpolation:
+    @pytest.mark.parametrize("a,T", [(2.0, math.pi), (0.5, 5.0), (4.5, 2.0)])
+    def test_focal_times_match_closed_form(self, a, T):
+        # u = cos(sqrt(2a)(T - t)) vanishes at T - (k + 1/2) pi / sqrt(2a)
+        sol = solve_backward(make_spec(a=a, A_T=0.0, T=T), N=4096)
+        nu = math.sqrt(2.0 * a)
+        exact = sorted(T - (k + 0.5) * math.pi / nu for k in range(int(nu * T / math.pi + 0.5)))
+        assert len(sol.singular_times) == len(exact) >= 1
+        assert np.max(np.abs(np.array(sol.singular_times) - exact)) <= 1e-10
+
+    @pytest.mark.parametrize("a,A_T,T", [(2.0, -0.25, 0.75), (-2.0, 0.3, 1.0), (0.7, 0.1, 1.0)])
+    def test_off_grid_values(self, a, A_T, T):
+        sol = solve_backward(make_spec(a=a, A_T=A_T, b=0.5, B_T=0.2, T=T), N=4096)
+        x = np.random.default_rng(5).uniform(0.0, T, 257)
+        tau = T - x
+        if a > 0:
+            nu = math.sqrt(2.0 * a)
+            u_ref = np.cos(nu * tau) - (2.0 * A_T / nu) * np.sin(nu * tau)
+        else:
+            mu = math.sqrt(-2.0 * a)
+            u_ref = np.cosh(mu * tau) - (2.0 * A_T / mu) * np.sinh(mu * tau)
+        A_ref = [closed_form_A_const(a, A_T, T, t) for t in x]
+        assert _rel_err(sol.u_at(x), u_ref) <= 1e-10
+        assert _rel_err(sol.A_at(x), A_ref) <= 1e-10
+        assert _rel_err(sol.B_at(x), CubicSpline(sol.t, sol.B, axis=0)(x)) <= 1e-10
+
+    def test_csv_round_trip_off_grid(self):
+        # With the spec, the reloaded slopes come from the equations, as in the solver.
+        doc = make_doc(a=-1.5, A_T=0.4, B_T=0.2, lam=1.5,
+                       jump={"type": "point", "params": {"z0": 0.4}})
+        doc["cost"]["b"] = {"poly": [0.3, -1.0]}
+        spec = scenario_from_dict(doc)
+        sol = solve_backward(spec, N=512)
+        again = hjb_from_csv(hjb_to_csv(sol), spec)
+        x = np.random.default_rng(6).uniform(0.0, 1.0, 257)
+        for name in ("u_at", "A_at", "B_at", "v_at"):
+            assert _rel_err(getattr(again, name)(x), getattr(sol, name)(x)) <= 1e-13
+
+    def test_root_of_a_skewed_cubic(self):
+        # The cubic t^3 - 0.1 is reproduced exactly; its zero is far from the secant point 0.1.
+        t = np.array([0.0, 1.0])
+        assert abs(Hermite(t, t**3 - 0.1, 3.0 * t**2).root(0) - 0.1 ** (1.0 / 3.0)) <= 2e-12
+
+    def test_scalar_and_array_shapes(self):
+        sol = solve_backward(make_spec(n=2, a=0.5, b=0.3, B_T=0.1), N=256)
+        for fn in (sol.u_at, sol.A_at):
+            assert isinstance(fn(0.3), float)
+            assert fn(np.array([0.1, 0.3, 0.7])).shape == (3,)
+        assert sol.B_at(0.3).shape == (2,)
+        assert sol.B_at(np.array([0.1, 0.3, 0.7])).shape == (3, 2)
+
+    def test_non_uniform_grid_rejected(self):
+        t = np.array([0.0, 1.0, 3.0])
+        with pytest.raises(ScenarioError, match="uniform"):
+            Hermite(t, t, np.ones(3))
 
 
 class TestWeight:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
 from mfg_moments import (
     ClosedFormMoments,
@@ -204,6 +205,38 @@ class TestClosedForms:
         cf = closed_form_moments_const(-2.0, 0.5, path.K, init)
         assert np.max(np.abs(cf.E_fn(path.t) - path.E[:, 0])) < 1e-8
         assert np.max(np.abs(cf.V_fn(path.t) - path.V)) < 1e-8
+
+
+    @pytest.mark.parametrize("a,A_T,T", [(2.0, -0.25, 0.75), (-2.0, 0.3, 1.0), (0.7, 0.1, 1.0)])
+    def test_off_grid_values_match_closed_form(self, a, A_T, T):
+        spec = make_spec(a=a, b=0.5, A_T=A_T, B_T=0.2, T=T, delta=0.7, x0=0.4, v0=0.2)
+        sol, path = solve_and_propagate(spec, N=4096)
+        A0 = sol.A[0]
+        init = {"E0": 0.4, "E0p": 2 * A0 * 0.4 + sol.B[0, 0], "V0": 0.2,
+                "V0p": 4 * A0 * 0.2 + path.K}
+        cf = closed_form_moments_const(a, 0.5, path.K, init, t_span=T)
+        x = np.random.default_rng(6).uniform(0.0, T, 257)
+        E = cf.E_fn(x)
+        V = cf.V_fn(x)
+        assert np.max(np.abs(path.E_at(x)[:, 0] - E)) <= 1e-10 * np.max(np.abs(E))
+        assert np.max(np.abs(path.V_at(x) - V)) <= 1e-10 * np.max(np.abs(V))
+
+    def test_off_grid_values_match_spline_with_jumps(self):
+        spec = make_spec(n=2, a=0.4, b=0.2, A_T=-0.1, delta=0.5, lam=1.0, x0=0.5, v0=0.2,
+                         jump={"type": "gaussian", "params": {"mu": 0.3, "sigma": 0.6}})
+        _, path = solve_and_propagate(spec, N=4096)
+        x = np.random.default_rng(7).uniform(0.0, 1.0, 257)
+        E_ref = CubicSpline(path.t, path.E, axis=0)(x)
+        V_ref = CubicSpline(path.t, path.V)(x)
+        assert np.max(np.abs(path.E_at(x) - E_ref)) <= 1e-10 * np.max(np.abs(E_ref))
+        assert np.max(np.abs(path.V_at(x) - V_ref)) <= 1e-10 * np.max(np.abs(V_ref))
+
+    def test_scalar_and_array_shapes(self, pure_jump_spec):
+        _, path = solve_and_propagate(pure_jump_spec, N=256)
+        assert isinstance(path.V_at(0.3), float)
+        assert path.V_at(np.array([0.1, 0.3, 0.7])).shape == (3,)
+        assert path.E_at(0.3).shape == (1,)
+        assert path.E_at(np.array([0.1, 0.3, 0.7])).shape == (3, 1)
 
 
 class TestMeanField:
