@@ -37,7 +37,7 @@ weight u(t)/u(eta) from the backward solution's (slope u', see ``hjb``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -136,14 +136,15 @@ class CharFunEvaluator:
 
     @classmethod
     def from_scenario(cls, spec: ScenarioSpec, N: int = 4096, M: int = 512) -> "CharFunEvaluator":
-        from dataclasses import replace
+        return cls.from_solution(spec, solve_backward(spec, N), M=M)
 
-        sol = solve_backward(spec, N)
-        spec_fund = replace(
-            spec, initial=InitialLaw(kind="dirac", x0=(0.0,) * spec.n, v0=0.0)
-        )
-        fundamental = propagate_moments(sol, spec_fund)
-        return cls(spec, sol, fundamental, M=M)
+    @classmethod
+    def from_solution(
+        cls, spec: ScenarioSpec, sol: HjbSolution, M: int = 512
+    ) -> "CharFunEvaluator":
+        """Evaluator on an existing backward solution; only the fundamental path is propagated."""
+        spec_fund = replace(spec, initial=InitialLaw(kind="dirac", x0=(0.0,) * spec.n, v0=0.0))
+        return cls(spec, sol, propagate_moments(sol, spec_fund), M=M)
 
     # -- internals ---------------------------------------------------------
 

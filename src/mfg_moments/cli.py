@@ -137,7 +137,6 @@ def _cmd_density(args) -> int:
 
 def _cmd_simulate(args) -> int:
     spec = _load_scenario(args.scenario)
-    sol = solve_backward(spec, args.grid)
     cfg = SimConfig(
         n_paths=args.paths,
         dt=args.dt,
@@ -145,6 +144,8 @@ def _cmd_simulate(args) -> int:
         record_times=_parse_times(args.times),
         keep_endpoints=args.dump_endpoints,
     )
+    cfg.validate(spec)
+    sol = solve_backward(spec, args.grid)
     result = simulate_paths(spec, sol, cfg)
     out = _OutputWriter(args.out)
     out.write("sim.csv", sim_to_csv(result))
@@ -161,19 +162,21 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_compare(args) -> int:
     spec = _load_scenario(args.scenario)
-    sol = solve_backward(spec, args.grid)
-    path = propagate_moments(sol, spec)
-    ev = CharFunEvaluator.from_scenario(spec, N=args.grid, M=args.quad)
     times = _parse_times(args.times) if args.times else (spec.T / 2, spec.T)
     omegas = _parse_times(args.omegas) if args.omegas else (0.5, 1.0, 2.0)
     if spec.n != 1:
         omegas = ()
     cfg = SimConfig(n_paths=args.paths, dt=args.dt, seed=args.seed, record_times=times)
-    result = simulate_paths(spec, sol, cfg)
-    refined = None
+    cfg.validate(spec)
+    cfg2 = None
     if args.dt2 is not None:
         cfg2 = SimConfig(n_paths=args.paths, dt=args.dt2, seed=args.seed, record_times=times)
-        refined = simulate_paths(spec, sol, cfg2)
+        cfg2.validate(spec)
+    sol = solve_backward(spec, args.grid)
+    path = propagate_moments(sol, spec)
+    ev = CharFunEvaluator.from_solution(spec, sol, M=args.quad)
+    result = simulate_paths(spec, sol, cfg)
+    refined = None if cfg2 is None else simulate_paths(spec, sol, cfg2)
     report = compare_report(path, ev, result, omegas=omegas, sim_refined=refined)
 
     out = _OutputWriter(args.out)

@@ -11,6 +11,9 @@ ratio ``u(t)/u(eta)``.  A, B and the constant term C are derived
 quantities; C is only meaningful up to the first focal time when its
 sources are singular there.
 
+Only (u, u') is integrated (``ode.rk4_linear``); v and C, whose sources
+are known along u, are cumulative Simpson quadratures from T.
+
 Off-grid values come from cubic Hermite interpolants (``hermite``) built
 from the solver's own derivatives: u from u', u' from ``u'' = -2 a(t) u``
 and v from ``v' = -lambda M1 u' - b u``.  Focal times are the zeros of
@@ -35,6 +38,7 @@ from .model import (
     scalar_fn,
     vector_fn,
 )
+from .ode import cumsimpson, rk4_linear
 
 # |u| below this is treated as a zero of the linearizer.
 U_ZERO_TOL = 1e-12
@@ -121,13 +125,17 @@ def weight(sol: HjbSolution, t: float, eta: float) -> float:
 
 
 def solve_backward(spec: ScenarioSpec, N: int = 4096, b_override=None) -> HjbSolution:
-    """Integrate the backward coefficient system on a uniform N+1-node grid.
+    """Solve the backward coefficient system on a uniform N+1-node grid.
 
-    Classical fixed-step 4th order Runge-Kutta, backward from T, on the
-    regular state (u, u', v, C).  ``b_override`` substitutes an explicit
-    time function for the running-cost slope, which is how the mean-field
-    fixed point freezes its coupling; a mean-field scenario without an
-    override is rejected.
+    Only the linearizer needs an ODE: ``rk4_linear`` integrates
+    ``u'' + 2 a(t) u = 0`` backward from ``u(T) = 1``, ``u'(T) = 2 A_T``.
+    The sources of ``v' = -lambda M1 u' - b u`` and of
+    ``C' = -c - |B|^2/2 - n delta^2 A - lambda (M2 A + M1.B)`` are then
+    known along the solution, so v and C are cumulative Simpson integrals
+    from T of sources evaluated on the Hermite cubics of u, u' and v.
+    ``b_override`` substitutes an explicit time function for the
+    running-cost slope, which is how the mean-field fixed point freezes
+    its coupling; a mean-field scenario without an override is rejected.
     """
     if N < 100:
         raise ScenarioError(f"grid N={N}: must be >= 100")
@@ -142,67 +150,34 @@ def solve_backward(spec: ScenarioSpec, N: int = 4096, b_override=None) -> HjbSol
         b_fn = vector_fn(spec.cost.b, n)
 
     lam = spec.lam
-    if lam > 0:
-        M1, M2 = jump_moments(spec.jump)
-        M1 = tuple(float(m) for m in M1)
-    else:
-        M1, M2 = (0.0,) * n, 0.0
-    d2n = n * spec.delta**2
+    M1, M2 = jump_moments(spec.jump) if lam > 0 else (np.zeros(n), 0.0)
+    lam_M1 = lam * np.asarray(M1, float)
     T = spec.T
     h = T / N
 
-    # Coefficients at nodes and midpoints (index 2k <-> node k); plain
-    # Python floats keep the integration loop off numpy scalar overhead.
+    # Coefficients on the half grid: index 2k is node k, 2k+1 the midpoint.
     th = np.linspace(0.0, T, 2 * N + 1)
     a_grid = eval_scalar_grid(a_fn, th)
     b_grid = eval_vector_grid(b_fn, th, n)
-    a_h = a_grid.tolist()
-    c_h = eval_scalar_grid(c_fn, th).tolist()
-    b_h = [tuple(row) for row in b_grid.tolist()]
+    c_grid = eval_scalar_grid(c_fn, th)
+    t_grid = np.linspace(0.0, T, N + 1)
 
-    u = np.empty(N + 1)
-    udot = np.empty(N + 1)
-    v = np.empty((N + 1, n))
-    C = np.empty(N + 1)
-    u[N] = 1.0
-    udot[N] = 2.0 * spec.terminal.A_T
-    v[N] = spec.terminal.B_T
-    C[N] = spec.terminal.C_T
+    A_T = spec.terminal.A_T
+    y, yp = rk4_linear(a_grid[::-1], np.zeros((2 * N + 1, 1)), (1.0,), (2.0 * A_T,), -h)
+    u, udot = y[::-1, 0], yp[::-1, 0]
+    slopes = _node_slopes(a_grid[::2], b_grid[::2], lam_M1, u, udot)
+    u_h = Hermite(t_grid, u, udot)(th)
+    udot_h = Hermite(t_grid, udot, slopes["uddot"])(th)
+    vdot_h = -lam_M1 * udot_h[:, None] - b_grid * u_h[:, None]
+    v = np.asarray(spec.terminal.B_T, float) + cumsimpson(vdot_h[::-1], -h)[::-1]
 
-    def rhs(idx, uu, ud, vv, cc):
-        a = a_h[idx]
-        b = b_h[idx]
-        uz = uu if uu != 0.0 else 1e-300
-        A = ud / (2.0 * uz)
-        bsq = 0.0
-        m1b = 0.0
-        dv = [0.0] * n
-        for i in range(n):
-            Bi = vv[i] / uz
-            bsq += Bi * Bi
-            m1b += M1[i] * Bi
-            dv[i] = -lam * M1[i] * ud - b[i] * uu
-        dC = -c_h[idx] - 0.5 * bsq - d2n * A - lam * (M2 * A + m1b)
-        return ud, -2.0 * a * uu, dv, dC
-
-    for k in range(N, 0, -1):
-        uu, ud, vv, cc = u[k], udot[k], tuple(v[k]), C[k]
-        i0, i1, i2 = 2 * k, 2 * k - 1, 2 * k - 2
-        k1 = rhs(i0, uu, ud, vv, cc)
-        s = -0.5 * h
-        k2 = rhs(i1, uu + s * k1[0], ud + s * k1[1],
-                 tuple(vv[i] + s * k1[2][i] for i in range(n)), cc + s * k1[3])
-        k3 = rhs(i1, uu + s * k2[0], ud + s * k2[1],
-                 tuple(vv[i] + s * k2[2][i] for i in range(n)), cc + s * k2[3])
-        s = -h
-        k4 = rhs(i2, uu + s * k3[0], ud + s * k3[1],
-                 tuple(vv[i] + s * k3[2][i] for i in range(n)), cc + s * k3[3])
-        w = -h / 6.0
-        u[k - 1] = uu + w * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-        udot[k - 1] = ud + w * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-        for i in range(n):
-            v[k - 1, i] = vv[i] + w * (k1[2][i] + 2 * k2[2][i] + 2 * k3[2][i] + k4[2][i])
-        C[k - 1] = cc + w * (k1[3] + 2 * k2[3] + 2 * k3[3] + k4[3])
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        uz = np.where(u_h != 0.0, u_h, 1e-300)
+        A_h = udot_h / (2.0 * uz)
+        B_h = Hermite(t_grid, v, slopes["vdot"])(th) / uz[:, None]
+        Cdot_h = (-c_grid - 0.5 * np.sum(B_h * B_h, axis=1) - n * spec.delta**2 * A_h
+                  - lam * M2 * A_h - B_h @ lam_M1)
+        C = spec.terminal.C_T + cumsimpson(Cdot_h[::-1], -h)[::-1]
 
     # Derived quantities with non-finite markers at zeros of u.
     near_zero = np.abs(u) < U_ZERO_TOL
@@ -210,7 +185,6 @@ def solve_backward(spec: ScenarioSpec, N: int = 4096, b_override=None) -> HjbSol
         A = np.where(near_zero, np.nan, udot / (2.0 * np.where(near_zero, 1.0, u)))
         B = np.where(near_zero[:, None], np.nan, v / np.where(near_zero, 1.0, u)[:, None])
 
-    t_grid = np.linspace(0.0, T, N + 1)
     singular = _locate_zeros(t_grid, u, udot)
     if singular:
         tainted = spec.delta > 0 or lam > 0 or float(np.max(np.abs(v))) > 1e-12
@@ -227,7 +201,7 @@ def solve_backward(spec: ScenarioSpec, N: int = 4096, b_override=None) -> HjbSol
         C=C,
         singular_times=tuple(singular),
         spec=spec,
-        **_node_slopes(a_grid[::2], b_grid[::2], lam * np.asarray(M1), u, udot),
+        **slopes,
     )
 
 

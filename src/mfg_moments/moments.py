@@ -8,7 +8,8 @@ assembled from the linearizer pair: ``V = (v0/u(0)^2) u^2 + K u psi`` with
 ``psi'' + 2 a psi = 0``, ``psi(0) = 0``, ``psi'(0) = 1/u(0)`` and the
 production rate ``K = delta^2 + lambda * M2 / n``.  Both satisfy the
 first-order relations ``E' = 2 A E + B + lambda M1`` and ``V' = 4 A V + K``
-wherever A is finite, and the second-order residuals are checked on every
+wherever A is finite.  The E columns and psi are advanced together by
+``ode.rk4_linear``, and the second-order residuals are checked on every
 propagation.
 
 Off-grid values come from cubic Hermite interpolants (``hermite``) built
@@ -36,6 +37,7 @@ from .model import (
     scalar_fn,
     vector_fn,
 )
+from .ode import cumsimpson, rk4_linear
 
 
 @dataclass
@@ -87,44 +89,11 @@ def variance_rate(spec: ScenarioSpec) -> float:
     return spec.delta**2
 
 
-def _rk4_second_order(a_h, forcing_h, y0, yp0, h, N):
-    """Integrate y'' = -2 a(t) y + f(t) on the node grid, returning (y, y').
-
-    ``a_h`` and ``forcing_h`` are values on the half grid (2N+1 points);
-    the state may have any width, handled coordinatewise in plain floats.
-    """
-    width = len(y0)
-    y = np.empty((N + 1, width))
-    yp = np.empty((N + 1, width))
-    y[0] = y0
-    yp[0] = yp0
-    half, sixth = 0.5 * h, h / 6.0
-    for i in range(width):
-        cur = float(y0[i])
-        curp = float(yp0[i])
-        for k in range(N):
-            a0, a1, a2 = a_h[2 * k], a_h[2 * k + 1], a_h[2 * k + 2]
-            g0, g1, g2 = forcing_h[2 * k][i], forcing_h[2 * k + 1][i], forcing_h[2 * k + 2][i]
-            k1y, k1p = curp, -2.0 * a0 * cur + g0
-            y2, p2 = cur + half * k1y, curp + half * k1p
-            k2y, k2p = p2, -2.0 * a1 * y2 + g1
-            y3, p3 = cur + half * k2y, curp + half * k2p
-            k3y, k3p = p3, -2.0 * a1 * y3 + g1
-            y4, p4 = cur + h * k3y, curp + h * k3p
-            k4y, k4p = p4, -2.0 * a2 * y4 + g2
-            cur += sixth * (k1y + 2 * k2y + 2 * k3y + k4y)
-            curp += sixth * (k1p + 2 * k2p + 2 * k3p + k4p)
-            y[k + 1, i] = cur
-            yp[k + 1, i] = curp
-    return y, yp
-
-
 def propagate_moments(
     sol: HjbSolution,
     spec: ScenarioSpec,
     b_override=None,
     literal_init: bool = False,
-    residual_tol: float = 1e-6,
 ) -> MomentPath:
     """Propagate E(t) and V(t) forward on the solve grid.
 
@@ -159,35 +128,35 @@ def propagate_moments(
     th = np.linspace(0.0, spec.T, 2 * N + 1)
     a_grid = eval_scalar_grid(a_fn, th)
     b_grid = eval_vector_grid(b_fn, th, n)
-    a_h = a_grid.tolist()
     a_nodes, b_nodes = a_grid[::2, None], b_grid[::2]
     u, ud = sol.u, sol.udot
 
     if literal_init:
         # Quadrature forms via prefix integrals of the weight ratios.
+        u_h = sol.u_at(th)
         with np.errstate(divide="ignore", invalid="ignore"):
-            gB = (sol.v / sol.u[:, None] + lam * M1) / sol.u[:, None]
-            gV = 1.0 / np.square(sol.u)
-        cumB = _cumtrapz(gB, t)
-        cumV = _cumtrapz(gV[:, None], t)[:, 0]
+            gB = (sol.v_at(th) / u_h[:, None] + lam * M1) / u_h[:, None]
+            gV = 1.0 / np.square(u_h)
+        cumB, cumV = cumsimpson(gB, h), cumsimpson(gV, h)
         E = x0 + u[:, None] * cumB
         V = v0 + K * np.square(u) * cumV
         # Their derivatives by the product rule; x0 is added without
         # propagation, so E - x0 is what solves E'' = -2 a E - b.
-        Ep = ud[:, None] * cumB + u[:, None] * gB
+        Ep = ud[:, None] * cumB + u[:, None] * gB[::2]
         Epp = -2.0 * a_nodes * (E - x0) - b_nodes
-        Vp = K * (2.0 * u * ud * cumV + np.square(u) * gV)
+        Vp = K * (2.0 * u * ud * cumV + np.square(u) * gV[::2])
         focal = False
     else:
+        # E (forcing -b) and psi (unforced) in one integration.
         A0 = sol.udot[0] / (2.0 * u0)
         B0 = sol.v[0] / u0
         Ep0 = 2.0 * A0 * x0 + B0 + lam * M1
-        E, Ep = _rk4_second_order(a_h, (-b_grid).tolist(), x0, Ep0, h, N)
+        forcing = np.hstack([-b_grid, np.zeros((2 * N + 1, 1))])
+        y, yp = rk4_linear(a_grid, forcing, (*x0, 0.0), (*Ep0, 1.0 / u0), h)
+        E, Ep = y[:, :n], yp[:, :n]
+        psi, psip = y[:, n], yp[:, n]
         Epp = -2.0 * a_nodes * E - b_nodes
 
-        zero_half = [(0.0,)] * (2 * N + 1)
-        psi, psip = _rk4_second_order(a_h, zero_half, (0.0,), (1.0 / u0,), h, N)
-        psi, psip = psi[:, 0], psip[:, 0]
         c = v0 / u0**2
         V_pair = c * np.square(u) + K * u * psi
         V_pair[0] = v0
@@ -208,13 +177,6 @@ def propagate_moments(
     return path
 
 
-def _cumtrapz(y: np.ndarray, t: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(y)
-    dt = np.diff(t)[:, None]
-    out[1:] = np.cumsum(0.5 * dt * (y[1:] + y[:-1]), axis=0)
-    return out
-
-
 @dataclass(frozen=True)
 class ResidualReport:
     rE: float
@@ -222,27 +184,36 @@ class ResidualReport:
     note: str
 
 
-def _central_d1(y: np.ndarray, h: float) -> np.ndarray:
-    """5-point central first derivative at interior nodes 2..N-2."""
-    return (-y[4:] + 8.0 * y[3:-1] - 8.0 * y[1:-3] + y[:-4]) / (12.0 * h)
+# The stencil nodes are at most T/STENCIL_PANELS apart, whatever the grid.  Closer
+# nodes pass on more rounding (divided by 12 H^2), wider ones more truncation
+# error (H^4); at 512 neither passed 1.5e-7 on the test and benchmark scenarios
+# for grids from N = 1024 to 65536.
+STENCIL_PANELS = 512
 
 
-def _central_d2(y: np.ndarray, h: float) -> np.ndarray:
-    """5-point central second derivative at interior nodes 2..N-2."""
-    return (-y[4:] + 16.0 * y[3:-1] - 30.0 * y[2:-2] + 16.0 * y[1:-3] - y[:-4]) / (12.0 * h**2)
+def _stencils(t: np.ndarray, y: np.ndarray):
+    """5-point central y' and y'' on the coarsest node stride at most T/STENCIL_PANELS.
+
+    Five points, because a 3-point truncation error would mask the
+    equations on rapidly growing solutions.  Returns the node indices at
+    which the derivatives hold, y' and y'' there.
+    """
+    s = max(1, (len(t) - 1) // STENCIL_PANELS)
+    ys = y[::s]
+    H = s * (t[1] - t[0])
+    d1 = (-ys[4:] + 8.0 * ys[3:-1] - 8.0 * ys[1:-3] + ys[:-4]) / (12.0 * H)
+    d2 = (-ys[4:] + 16.0 * ys[3:-1] - 30.0 * ys[2:-2] + 16.0 * ys[1:-3] - ys[:-4]) / (12.0 * H**2)
+    return s * np.arange(2, len(ys) - 2), d1, d2
 
 
 def residual_check(path: MomentPath, spec: ScenarioSpec, b_override=None) -> ResidualReport:
-    """Max-norm residuals of the second-order moment equations.
+    """Max-norm residuals of the second-order moment equations, by ``_stencils``.
 
-    rE checks E'' + 2 a E + b at interior nodes, rV checks
-    V'' + 4 a V - ((V')^2 - K^2)/(2V); both use 5-point central stencils
-    (the 3-point truncation error would mask the equations on rapidly
-    growing solutions).  The variance residual is skipped when V comes
-    within 1e-6 of zero, since the equation divides by 2V.
+    rE checks E'' + 2 a E + b and rV checks V'' + 4 a V - ((V')^2 - K^2)/(2V).
+    The variance residual is skipped when V comes within 1e-6 of zero on
+    the stencil nodes, since the equation divides by 2V.
     """
     t, E, V = path.t, path.E, path.V
-    h = t[1] - t[0]
     n = E.shape[1]
     a_fn = scalar_fn(spec.cost.a)
     if b_override is not None:
@@ -252,20 +223,15 @@ def residual_check(path: MomentPath, spec: ScenarioSpec, b_override=None) -> Res
     else:
         b_fn = vector_fn(spec.cost.b, n)
 
-    mid = t[2:-2]
-    a_mid = eval_scalar_grid(a_fn, mid)
-    b_mid = eval_vector_grid(b_fn, mid, n)
+    idx, _, Epp = _stencils(t, E)
+    a_s = eval_scalar_grid(a_fn, t[idx])
+    b_s = eval_vector_grid(b_fn, t[idx], n)
+    rE = float(np.max(np.abs(Epp + 2.0 * a_s[:, None] * E[idx] + b_s)))
 
-    Epp = _central_d2(E, h)
-    rE = float(np.max(np.abs(Epp + 2.0 * a_mid[:, None] * E[2:-2] + b_mid)))
-
-    if float(np.min(V[2:-2])) < 1e-6:
+    if float(np.min(V[idx])) < 1e-6:
         return ResidualReport(rE=rE, rV=None, note="skipped (V near zero)")
-    Vpp = _central_d2(V, h)
-    Vp = _central_d1(V, h)
-    rV = float(np.max(np.abs(
-        Vpp + 4.0 * a_mid * V[2:-2] - (Vp**2 - path.K**2) / (2.0 * V[2:-2])
-    )))
+    _, Vp, Vpp = _stencils(t, V)
+    rV = float(np.max(np.abs(Vpp + 4.0 * a_s * V[idx] - (Vp**2 - path.K**2) / (2.0 * V[idx]))))
     return ResidualReport(rE=rE, rV=rV, note="")
 
 
@@ -501,17 +467,13 @@ def solve_meanfield_fixedpoint(
     # Final pass with the converged coupling at the requested resolution
     # keeps (sol, path, b) consistent.
     iteration = max(iteration, 1)
-    t = np.linspace(0.0, spec.T, N + 1)
     b_fn = frozen_b(t_it, E, Ep, Epp)
     sol = solve_backward(spec, N, b_override=b_fn)
     path = propagate_moments(sol, spec, b_override=b_fn)
 
-    h = t[1] - t[0]
     a = spec.cost.a.values[0]
-    Epp = (path.E[2:] - 2.0 * path.E[1:-1] + path.E[:-2]) / h**2
-    residual = float(np.max(np.abs(
-        Epp + b2 * path.E_prime[1:-1] + (2.0 * a + b1) * path.E[1:-1] + b0
-    )))
+    idx, Ep, Epp = _stencils(path.t, path.E)
+    residual = float(np.max(np.abs(Epp + b2 * Ep + (2.0 * a + b1) * path.E[idx] + b0)))
     return MeanFieldSolution(sol=sol, path=path, iterations=iteration, residual=residual)
 
 

@@ -7,7 +7,8 @@ quadratic in t), so recovery reduces to picking the branch and fitting
 for a fixed nu the model is linear in the remaining constants, so the
 nonlinear search runs over log(nu) alone, multi-started on a fixed grid.
 The noise scale K is then identified from the variance series with the
-branch and frequency frozen.
+branch and frequency frozen.  The (a, b) covariance comes from
+sensitivities integrated by ``ode.rk4_linear``.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, ScenarioError
+from .hermite import Hermite
+from .ode import rk4_linear
 
 BRANCHES = ("oscillatory", "exponential", "polynomial")
 _NU_STARTS = np.logspace(-2, 2, 16)
@@ -253,53 +256,37 @@ def classify_branch(series: ObservedSeries) -> tuple[str, float]:
     return BRANCHES[order[0]], float(confidence)
 
 
+def _sensitivities(params: RecoveredParams, t: np.ndarray) -> np.ndarray:
+    """Sensitivities of E to (a, b) at the times t, as columns of an (m, 2) array.
+
+    They solve s'' + 2 a s = forcing from zero initial data, the forcings
+    being -2 E(t) for a and -1 for b, holding the fitted initial values
+    fixed: one ``rk4_linear`` call on 2000 steps up to the last time, read off
+    the Hermite cubics of (s, s').
+    """
+    steps = 2000
+    t_max = float(t[-1])
+    th = np.linspace(0.0, t_max, 2 * steps + 1)
+    forcing = np.stack([-2.0 * params.E_model(th)[:, 0], -np.ones_like(th)], axis=1)
+    a_half = np.full_like(th, params.a)
+    s, sp = rk4_linear(a_half, forcing, (0.0, 0.0), (0.0, 0.0), t_max / steps)
+    return Hermite(th[::2], s, sp)(t)
+
+
 def _sensitivity_covariance(params: RecoveredParams, series: ObservedSeries, rss: float):
     """Gauss-Newton covariance of (a, b) from the moment-equation sensitivities.
 
-    Sensitivities solve s'' + 2 a s = forcing with zero initial data, the
-    forcings being -2 E(t) for a and -1 for b, holding the fitted initial
-    values fixed.  A rank-deficient Jacobian (e.g. constant series, where
-    only 2 a E + b is pinned) flags the pair unidentifiable.
+    A rank-deficient Jacobian (e.g. constant series, where only 2 a E + b
+    is pinned) flags the pair unidentifiable.
     """
-    t_obs = series.t
-    t_max = float(t_obs[-1])
-    steps = 2000
-    h = t_max / steps
-    grid = np.linspace(0.0, t_max, steps + 1)
-    Emod = params.E_model(grid)[:, 0]
-    a = params.a
-
-    def integrate(forcing):
-        y = np.zeros(steps + 1)
-        yp = 0.0
-        cur = 0.0
-        for k in range(steps):
-            def f(tt, yy, pp):
-                return pp, -2.0 * a * yy + forcing(tt)
-            t0 = grid[k]
-            k1 = f(t0, cur, yp)
-            k2 = f(t0 + h / 2, cur + h / 2 * k1[0], yp + h / 2 * k1[1])
-            k3 = f(t0 + h / 2, cur + h / 2 * k2[0], yp + h / 2 * k2[1])
-            k4 = f(t0 + h, cur + h * k3[0], yp + h * k3[1])
-            cur += h / 6 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-            yp += h / 6 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-            y[k + 1] = cur
-        return y
-
-    E_sp = lambda tt: np.interp(tt, grid, Emod)
     with np.errstate(over="ignore", invalid="ignore"):
-        s_a = integrate(lambda tt: -2.0 * E_sp(tt))
-        s_b = integrate(lambda tt: -1.0)
-        J = np.stack([np.interp(t_obs, grid, s_a), np.interp(t_obs, grid, s_b)], axis=1)
-        if not np.all(np.isfinite(J)):
-            return np.full((2, 2), math.inf), False
+        J = _sensitivities(params, series.t)
         jtj = J.T @ J
-        cond = np.linalg.cond(jtj)
+        cond = np.linalg.cond(jtj) if np.all(np.isfinite(J)) else math.inf
     if not math.isfinite(cond) or cond > 1e10:
         return np.full((2, 2), math.inf), False
     dof = max(series.E.size - 4, 1)
-    sigma2 = rss / dof
-    return sigma2 * np.linalg.inv(jtj), True
+    return rss / dof * np.linalg.inv(jtj), True
 
 
 def fit_parameters(series: ObservedSeries, branch: str | None = None) -> RecoveredParams:

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mfg_moments import closed_form_moments_const
+from mfg_moments import charfun, cli, closed_form_moments_const, hjb, moments, solve_backward
 from mfg_moments.cli import main
 from mfg_moments.hjb import hjb_from_csv
 from mfg_moments.moments import moments_from_csv
@@ -133,7 +133,40 @@ class TestSimulate:
         assert len(dump) == 1001
 
 
+class TestRejectedBeforeSolving:
+    @pytest.mark.parametrize("command,extra", [
+        ("simulate", ["--paths", "500"]),
+        ("compare", ["--paths", "500"]),
+        ("compare", ["--paths", "1000", "--dt2", "0.5"]),
+    ])
+    def test_bad_simulation_config_exits_one_without_solving(
+            self, scenario_file, tmp_path, monkeypatch, command, extra):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before validating")
+
+        monkeypatch.setattr(cli, "solve_backward", no_solve)
+        out = tmp_path / "out"
+        args = [command, "--scenario", scenario_file, "--dt", "0.005", "--seed", "1",
+                "--out", str(out), "--grid", "512"]
+        assert main(args + extra) == 1
+        assert not out.exists()
+
+
 class TestCompare:
+    def test_solves_the_backward_system_once(self, scenario_file, tmp_path, monkeypatch):
+        calls = []
+
+        def counting(spec, N, *args, **kwargs):
+            calls.append(N)
+            return solve_backward(spec, N, *args, **kwargs)
+
+        for module in (cli, charfun, hjb, moments):
+            monkeypatch.setattr(module, "solve_backward", counting)
+        main(["compare", "--scenario", scenario_file, "--paths", "1000", "--dt", "0.01",
+              "--seed", "2", "--times", "1.0", "--grid", "512", "--quad", "128",
+              "--out", str(tmp_path / "out")])
+        assert calls == [512]
+
     def test_passes_and_is_deterministic(self, scenario_file, tmp_path, monkeypatch):
         args = ["compare", "--scenario", scenario_file, "--paths", "2000", "--dt", "0.005",
                 "--seed", "11", "--grid", "512", "--quad", "128"]

@@ -129,6 +129,15 @@ class TestResidualCheck:
         assert rep.rE < 1e-6
         assert rep.rV is not None and rep.rV < 1e-6
 
+    def test_expectation_residual_does_not_grow_with_the_grid(self):
+        # E is exact to rounding here; a stencil at spacing T/65536 would divide that
+        # rounding by 12 h^2 and report 3e-6
+        spec = make_spec(a=1.0, A_T=-0.5, b=0.3, x0=1.0, delta=0.5)
+        sol, path = solve_and_propagate(spec, N=65536)
+        assert path.residual_E <= 1e-8
+        wrong_b = residual_check(path, spec, b_override=lambda t: 0.3 + 1e-5)
+        assert wrong_b.rE == pytest.approx(1e-5, rel=1e-2)
+
     def test_corrupted_variance_detected(self, brownian_spec):
         # scaling V perturbs the (Var) residual by ~0.1 K^2/V, so K > 0 here
         sol, path = solve_and_propagate(brownian_spec, N=1024)
