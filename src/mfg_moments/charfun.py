@@ -102,6 +102,12 @@ def gaussian_density(E, V: float, x) -> float | np.ndarray:
     return (2.0 * math.pi * V) ** (-n / 2.0) * np.exp(-np.sum(dx * dx, axis=-1) / (2.0 * V))
 
 
+def check_quad_nodes(M: int) -> None:
+    """Reject an eta-quadrature resolution that composite Simpson cannot use."""
+    if M < 2 or M % 2:
+        raise ScenarioError(f"quadrature nodes M={M}: must be a positive even integer")
+
+
 class CharFunEvaluator:
     """Evaluates the solution characteristic function for one scenario.
 
@@ -115,8 +121,7 @@ class CharFunEvaluator:
     """
 
     def __init__(self, spec: ScenarioSpec, sol: HjbSolution, fundamental: MomentPath, M: int = 512):
-        if M < 2 or M % 2:
-            raise ScenarioError(f"quadrature nodes M={M}: must be a positive even integer")
+        check_quad_nodes(M)
         self.spec = spec
         self.sol = sol
         self.fundamental = fundamental

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .charfun import CharFunEvaluator
+from .charfun import CharFunEvaluator, check_quad_nodes
 from .errors import NumericsError, ScenarioError
 from .hjb import hjb_to_csv, solve_backward
 from .mc import SimConfig, compare_report, endpoints_to_csv, sim_to_csv, simulate_paths
@@ -120,6 +120,7 @@ def _cmd_density(args) -> int:
     times = _parse_times(args.times)
     if not times:
         raise ScenarioError("density: at least one time is required")
+    check_quad_nodes(args.quad)
     ev = CharFunEvaluator.from_scenario(spec, N=args.grid, M=args.quad)
     # Every density is computed before --out is created, so a bad time or
     # grid leaves no partial output behind.
@@ -172,6 +173,7 @@ def _cmd_compare(args) -> int:
     if args.dt2 is not None:
         cfg2 = SimConfig(n_paths=args.paths, dt=args.dt2, seed=args.seed, record_times=times)
         cfg2.validate(spec)
+    check_quad_nodes(args.quad)
     sol = solve_backward(spec, args.grid)
     path = propagate_moments(sol, spec)
     ev = CharFunEvaluator.from_solution(spec, sol, M=args.quad)

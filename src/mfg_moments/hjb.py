@@ -157,9 +157,9 @@ def solve_backward(spec: ScenarioSpec, N: int = 4096, b_override=None) -> HjbSol
 
     # Coefficients on the half grid: index 2k is node k, 2k+1 the midpoint.
     th = np.linspace(0.0, T, 2 * N + 1)
-    a_grid = eval_scalar_grid(a_fn, th)
-    b_grid = eval_vector_grid(b_fn, th, n)
-    c_grid = eval_scalar_grid(c_fn, th)
+    a_grid = eval_scalar_grid(a_fn, th, "a")
+    b_grid = eval_vector_grid(b_fn, th, n, "b")
+    c_grid = eval_scalar_grid(c_fn, th, "c")
     t_grid = np.linspace(0.0, T, N + 1)
 
     A_T = spec.terminal.A_T
@@ -356,8 +356,8 @@ def hjb_from_csv(text: str, spec: ScenarioSpec | None = None) -> HjbSolution:
     C = data[:, 4 + 2 * n]
     if spec is not None and spec.cost.b.kind != "meanfield":
         lam_M1 = spec.lam * jump_moments(spec.jump)[0] if spec.lam > 0 else np.zeros(n)
-        a_nodes = eval_scalar_grid(scalar_fn(spec.cost.a), t)
-        b_nodes = eval_vector_grid(vector_fn(spec.cost.b, n), t, n)
+        a_nodes = eval_scalar_grid(scalar_fn(spec.cost.a), t, "a")
+        b_nodes = eval_vector_grid(vector_fn(spec.cost.b, n), t, n, "b")
         slopes = _node_slopes(a_nodes, b_nodes, lam_M1, u, udot)
     else:
         slopes = {

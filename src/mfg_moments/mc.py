@@ -1,12 +1,25 @@
 """Monte Carlo oracle for the controlled jump-diffusion.
 
 Euler-Maruyama with drift 2 A(t) x + B(t) (linearly interpolated from the
-backward solution grid), Gaussian diffusion and per-step Poisson jump
-counts.  Each path owns an RNG substream derived from (seed, path index),
-so results are bit-identical regardless of block size, worker count or
-scheduling.  Per path, the draw order is: initial state (gaussian initial
-laws only), the full diffusion normal block, the Poisson count vector,
-then jump sizes step by step.
+backward solution grid), Gaussian diffusion and compound Poisson jumps.
+Each step is the affine map X <- (1 + 2 A dt) X + B dt + delta sqrt(dt) xi
++ J, where J is the sum of the jumps that arrive in that step.
+
+Paths are split into fixed blocks of ``_BLOCK`` paths, and block ``b``
+draws from its own counter-based stream, ``Philox(SeedSequence(seed,
+spawn_key=(b,)))``.  The split does not depend on the worker count, so
+results are bit-identical whatever the number of workers or the order in
+which they run.  Per block, the draw order is:
+
+1. the initial states, (paths, n) normals (Gaussian initial laws only);
+2. each path's total jump count, Poisson(lambda * n_steps * dt);
+3. the arrival step of each jump, uniform on [0, n_steps): given its
+   count, a Poisson process has i.i.d. uniform arrival times, so this has
+   the law of one Poisson count per step at O(lambda T) cost;
+4. all jump sizes, in one ``sample_jumps`` call, in path order;
+5. the diffusion normals, step-major: (steps, paths, n) chunks of at most
+   ``_CHUNK_BYTES``.  Successive draws read one stream in order, so the
+   chunk size does not change the numbers.
 """
 
 from __future__ import annotations
@@ -23,6 +36,7 @@ from .hjb import HjbSolution
 from .model import ScenarioSpec, sample_jumps
 
 _BLOCK = 4096
+_CHUNK_BYTES = 1 << 22
 
 
 def worker_count() -> int:
@@ -81,55 +95,48 @@ class SimResult:
         raise ScenarioError(f"time {t} is not a record time")
 
 
-def _simulate_block(spec, cfg, path_lo, path_hi, A_steps, B_steps, rec_idx, n_steps):
+def _simulate_block(spec, cfg, block, out, gain, drift, rec_idx):
+    """Simulate block ``block`` into ``out`` (paths, R, n); return its per-step jump counts."""
     n = spec.n
-    count = path_hi - path_lo
-    x0 = np.asarray(spec.initial.x0, float)
-    sqrt_v0 = math.sqrt(spec.initial.v0)
-    sqrt_dt = math.sqrt(cfg.dt)
-    lam_dt = spec.lam * cfg.dt
-    use_diff = spec.delta > 0
-    use_jump = spec.lam > 0
+    count = len(out)
+    n_steps = len(gain)
+    gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(cfg.seed, spawn_key=(block,))))
 
-    X = np.tile(x0, (count, 1))
-    xi = None
-    jumps = None
-    jump_events = np.zeros(n_steps, dtype=np.int64)
+    X = np.tile(np.asarray(spec.initial.x0, float), (count, 1))
+    if spec.initial.kind == "gaussian":
+        X += math.sqrt(spec.initial.v0) * gen.standard_normal((count, n))
+    if spec.lam > 0 and n_steps:
+        per_path = gen.poisson(spec.lam * n_steps * cfg.dt, count)
+        steps = gen.integers(0, n_steps, int(per_path.sum()))
+        sizes = sample_jumps(spec.jump, gen, len(steps))
+        order = np.argsort(steps, kind="stable")
+        steps, sizes = steps[order], sizes[order]
+        paths = np.repeat(np.arange(count), per_path)[order]
+    else:
+        steps, sizes, paths = np.zeros(0, np.int64), np.zeros((0, n)), np.zeros(0, np.int64)
 
-    point_jump = use_jump and spec.jump.kind == "point"
-    if use_diff or use_jump or spec.initial.kind == "gaussian":
-        xi = np.zeros((count, n_steps, n)) if use_diff else None
-        jumps = np.zeros((count, n_steps, n)) if use_jump else None
-        for p in range(count):
-            ss = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(path_lo + p,))
-            gen = np.random.Generator(np.random.Philox(ss))
-            if spec.initial.kind == "gaussian":
-                X[p] += sqrt_v0 * gen.standard_normal(n)
-            if use_diff and n_steps:
-                xi[p] = gen.standard_normal((n_steps, n))
-            if use_jump and n_steps:
-                counts = gen.poisson(lam_dt, n_steps)
-                jump_events += counts
-                if point_jump:
-                    # fixed jump size consumes no draws; apply counts directly
-                    jumps[p] = counts[:, None] * np.asarray(spec.jump.z0)
-                else:
-                    for k in np.nonzero(counts)[0]:
-                        jumps[p, k] = sample_jumps(spec.jump, gen, int(counts[k])).sum(axis=0)
-
-    rec = np.empty((count, len(rec_idx), n))
-    rec_map = {k: i for i, k in enumerate(rec_idx)}
-    if 0 in rec_map:
-        rec[:, rec_map[0]] = X
-    for k in range(n_steps):
-        X = X + (2.0 * A_steps[k] * X + B_steps[k]) * cfg.dt
-        if use_diff:
-            X += spec.delta * sqrt_dt * xi[:, k]
-        if use_jump:
-            X += jumps[:, k]
-        if k + 1 in rec_map:
-            rec[:, rec_map[k + 1]] = X
-    return rec, jump_events
+    rec_at = {k: i for i, k in enumerate(rec_idx)}
+    if 0 in rec_at:
+        out[:, rec_at[0]] = X
+    noise = spec.delta * math.sqrt(cfg.dt)
+    chunk = max(1, _CHUNK_BYTES // (8 * count * n))
+    buf = np.empty((min(chunk, n_steps), count, n))
+    for k0 in range(0, n_steps, chunk):
+        W = buf[: min(chunk, n_steps - k0)]
+        if noise > 0:
+            gen.standard_normal(out=W)
+            W *= noise
+        else:
+            W.fill(0.0)
+        W += drift[k0 : k0 + len(W), None, :]
+        j0, j1 = np.searchsorted(steps, (k0, k0 + len(W)))
+        np.add.at(W, (steps[j0:j1] - k0, paths[j0:j1]), sizes[j0:j1])
+        for j, w in enumerate(W, start=k0):
+            X *= gain[j]
+            X += w
+            if j + 1 in rec_at:
+                out[:, rec_at[j + 1]] = X
+    return np.bincount(steps, minlength=n_steps)
 
 
 def simulate_paths(spec: ScenarioSpec, sol: HjbSolution, cfg: SimConfig) -> SimResult:
@@ -150,26 +157,27 @@ def simulate_paths(spec: ScenarioSpec, sol: HjbSolution, cfg: SimConfig) -> SimR
     if n_steps and not (np.all(np.isfinite(A_steps)) and np.all(np.isfinite(B_steps))):
         k_bad = int(np.argmax(~(np.isfinite(A_steps) & np.all(np.isfinite(B_steps), axis=1))))
         raise SingularityError(f"singular drift at t={step_t[k_bad]:.6g}")
+    gain = 1.0 + 2.0 * cfg.dt * A_steps
+    drift = cfg.dt * B_steps
 
     rec_idx = [int(round(tr / cfg.dt)) for tr in cfg.record_times]
     R = len(rec_idx)
     endpoints = np.empty((cfg.n_paths, R, spec.n))
     jump_totals = np.zeros(n_steps, dtype=np.int64)
 
-    blocks = [(lo, min(lo + _BLOCK, cfg.n_paths)) for lo in range(0, cfg.n_paths, _BLOCK)]
-    workers = min(worker_count(), len(blocks)) if blocks else 1
+    blocks = range(-(-cfg.n_paths // _BLOCK))
+    workers = min(worker_count(), len(blocks))
 
     def run(block):
-        lo, hi = block
-        return lo, hi, _simulate_block(spec, cfg, lo, hi, A_steps, B_steps, rec_idx, n_steps)
+        out = endpoints[block * _BLOCK : (block + 1) * _BLOCK]
+        return _simulate_block(spec, cfg, block, out, gain, drift, rec_idx)
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, blocks))
+            per_block = list(pool.map(run, blocks))
     else:
-        results = [run(b) for b in blocks]
-    for lo, hi, (rec, events) in results:
-        endpoints[lo:hi] = rec
+        per_block = [run(b) for b in blocks]
+    for events in per_block:
         jump_totals += events
 
     E_hat = endpoints.mean(axis=0)

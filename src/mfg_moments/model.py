@@ -276,55 +276,57 @@ class Coefficient:
         )
 
 
-def scalar_fn(coef: Coefficient) -> Callable[[float], float]:
-    """Callable t -> float for a constant or polynomial coefficient."""
+def scalar_fn(coef: Coefficient) -> Callable[[np.ndarray], np.ndarray]:
+    """Callable t -> array shaped like t for a constant or polynomial coefficient."""
     if coef.kind == "const":
         v = coef.values[0]
-        return lambda t: v
+        return lambda t: np.full(np.shape(t), v)
     if coef.kind == "poly":
         cs = coef.values[::-1]
-        return lambda t: float(np.polyval(cs, t))
+        return lambda t: np.polyval(cs, t)
     raise ScenarioError("mean-field coefficient has no explicit time form")
 
 
-def vector_fn(coef: Coefficient, n: int) -> Callable[[float], np.ndarray]:
-    """Callable t -> (n,) array for a constant or polynomial coefficient."""
+def vector_fn(coef: Coefficient, n: int) -> Callable[[np.ndarray], np.ndarray]:
+    """Callable t -> array of shape t.shape + (n,) for a constant or polynomial coefficient."""
     if coef.kind == "const":
         arr = np.asarray(coef.values if len(coef.values) == n else coef.values * n, float)
-        arr.setflags(write=False)
-        return lambda t: arr
+        return lambda t: np.full(np.shape(t) + (n,), arr)
     if coef.kind == "poly":
         cs = coef.values[::-1]
-        return lambda t: np.full(n, float(np.polyval(cs, t)))
+        return lambda t: np.repeat(np.polyval(cs, t)[..., None], n, axis=-1)
     raise ScenarioError("mean-field coefficient has no explicit time form")
 
 
-def eval_scalar_grid(fn, t: np.ndarray) -> np.ndarray:
-    """Evaluate a scalar coefficient callable on a grid, vectorized when possible."""
-    try:
-        arr = np.asarray(fn(t), float)
-        if arr.shape == t.shape:
-            return arr
-        if arr.ndim == 0:
-            return np.full(t.shape, float(arr))
-    except Exception:
-        pass
-    return np.array([float(fn(float(tk))) for tk in t])
+def eval_scalar_grid(fn, t: np.ndarray, name: str) -> np.ndarray:
+    """Evaluate the scalar coefficient ``name`` on the whole grid in one call.
+
+    The callable receives the grid array and returns an array of its shape,
+    or one number for a constant; any other shape raises ``ScenarioError``.
+    """
+    arr = np.asarray(fn(t), float)
+    if arr.ndim == 0:
+        return np.full(t.shape, float(arr))
+    if arr.shape != t.shape:
+        raise ScenarioError(f"coefficient {name}: returned shape {arr.shape} on a grid of shape {t.shape}")
+    return arr
 
 
-def eval_vector_grid(fn, t: np.ndarray, n: int) -> np.ndarray:
-    """Evaluate a vector coefficient callable on a grid, shape (len(t), n)."""
-    try:
-        arr = np.asarray(fn(t), float)
-        if arr.shape == (len(t), n):
-            return arr
-        if arr.shape == (n,):
-            return np.broadcast_to(arr, (len(t), n)).copy()
-        if arr.ndim == 0 or arr.shape == (len(t),):
-            return np.broadcast_to(np.asarray(arr).reshape(-1, 1), (len(t), n)).copy()
-    except Exception:
-        pass
-    return np.array([np.broadcast_to(np.atleast_1d(fn(float(tk))), (n,)) for tk in t])
+def eval_vector_grid(fn, t: np.ndarray, n: int, name: str) -> np.ndarray:
+    """Evaluate the vector coefficient ``name`` on the whole grid in one call, shape (len(t), n).
+
+    Besides (len(t), n), the callable may return one number, an (n,) vector
+    constant in time or a (len(t),) array shared by every coordinate; any
+    other shape raises ``ScenarioError``.
+    """
+    arr = np.asarray(fn(t), float)
+    if arr.shape == (len(t), n):
+        return arr
+    if arr.shape == (n,):
+        return np.broadcast_to(arr, (len(t), n)).copy()
+    if arr.ndim == 0 or arr.shape == (len(t),):
+        return np.broadcast_to(arr.reshape(-1, 1), (len(t), n)).copy()
+    raise ScenarioError(f"coefficient {name}: returned shape {arr.shape} on a grid of {len(t)} times")
 
 
 @dataclass(frozen=True)

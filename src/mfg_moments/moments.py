@@ -126,8 +126,8 @@ def propagate_moments(
     v0 = spec.initial.v0
 
     th = np.linspace(0.0, spec.T, 2 * N + 1)
-    a_grid = eval_scalar_grid(a_fn, th)
-    b_grid = eval_vector_grid(b_fn, th, n)
+    a_grid = eval_scalar_grid(a_fn, th, "a")
+    b_grid = eval_vector_grid(b_fn, th, n, "b")
     a_nodes, b_nodes = a_grid[::2, None], b_grid[::2]
     u, ud = sol.u, sol.udot
 
@@ -224,8 +224,8 @@ def residual_check(path: MomentPath, spec: ScenarioSpec, b_override=None) -> Res
         b_fn = vector_fn(spec.cost.b, n)
 
     idx, _, Epp = _stencils(t, E)
-    a_s = eval_scalar_grid(a_fn, t[idx])
-    b_s = eval_vector_grid(b_fn, t[idx], n)
+    a_s = eval_scalar_grid(a_fn, t[idx], "a")
+    b_s = eval_vector_grid(b_fn, t[idx], n, "b")
     rE = float(np.max(np.abs(Epp + 2.0 * a_s[:, None] * E[idx] + b_s)))
 
     if float(np.min(V[idx])) < 1e-6:

@@ -151,6 +151,27 @@ class TestRejectedBeforeSolving:
         assert main(args + extra) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("command,extra", [
+        ("compare", ["--paths", "1000", "--dt", "0.005", "--seed", "1"]),
+        ("density", ["--times", "0.5"]),
+    ])
+    def test_odd_quadrature_exits_one_without_solving(
+            self, scenario_file, tmp_path, monkeypatch, command, extra):
+        calls = []
+
+        def counting(spec, N, *args, **kwargs):
+            calls.append(N)
+            return solve_backward(spec, N, *args, **kwargs)
+
+        for module in (cli, charfun, hjb, moments):
+            monkeypatch.setattr(module, "solve_backward", counting)
+        out = tmp_path / "out"
+        args = [command, "--scenario", scenario_file, "--quad", "3", "--grid", "512",
+                "--out", str(out)]
+        assert main(args + extra) == 1
+        assert calls == []
+        assert not out.exists()
+
 
 class TestCompare:
     def test_solves_the_backward_system_once(self, scenario_file, tmp_path, monkeypatch):

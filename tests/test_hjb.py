@@ -18,6 +18,7 @@ from mfg_moments import (
     solve_backward,
     weight,
 )
+from mfg_moments import hjb, model, moments, propagate_moments
 from mfg_moments.hermite import Hermite
 
 from conftest import make_doc, make_spec
@@ -229,6 +230,62 @@ class TestWeight:
         spec = make_spec(a=0.0, A_T=1.0, T=1.0)  # u vanishes at t = 0.5
         sol = solve_backward(spec, N=512)
         assert math.isnan(sol.weight(1.0, 0.5))
+
+
+# A poly-uniform scenario of the solve_sweep workload, with its values
+# computed by the point-by-point coefficient evaluation this replaces.
+POLY_UNIFORM = make_doc(a={"poly": [-0.1, 0.15]}, b={"poly": [0.2, -0.1, 0.05]},
+                        c={"poly": [0.3, 0.1]}, A_T=-0.1, delta=0.5, lam=1.2,
+                        jump={"type": "uniform", "params": {"lo": -0.3, "hi": 0.5}},
+                        x0=0.4, v0=0.2)
+POLY_UNIFORM_VALUES = {
+    "u0": 1.2015855157211255, "udot0": -0.25969793378600586, "v0": 0.15929874314053596,
+    "C0": 0.3306168306433582, "A_mid": -0.08571736654412514, "B_mid": 0.0635891267475147,
+    "E_T": 0.4999102879402778, "V_T": 0.4120949261287593, "E_mid": 0.4677820771290647,
+    "V_mid": 0.31481408031141833,
+}
+
+
+class TestCoefficientCallables:
+    def test_polynomial_coefficients_are_evaluated_once_per_grid(self, monkeypatch):
+        calls = []
+
+        def counted(factory):
+            def make(*args):
+                fn = factory(*args)
+
+                def call(t):
+                    calls.append(np.shape(t))
+                    return fn(t)
+                return call
+            return make
+
+        for module in (hjb, moments):
+            monkeypatch.setattr(module, "scalar_fn", counted(model.scalar_fn))
+            monkeypatch.setattr(module, "vector_fn", counted(model.vector_fn))
+        spec = scenario_from_dict(POLY_UNIFORM)
+        propagate_moments(solve_backward(spec, 1024), spec)
+        # a, b, c for the backward solve; a, b for propagation and its residual check
+        assert len(calls) == 7
+        assert all(shape != () for shape in calls)
+
+    def test_type_error_inside_a_callable_propagates(self):
+        with pytest.raises(TypeError):
+            solve_backward(make_spec(), 256, b_override=lambda t: float(t))
+
+    def test_wrong_shape_names_the_coefficient(self):
+        with pytest.raises(ScenarioError, match="coefficient b"):
+            solve_backward(make_spec(), 256, b_override=lambda t: np.zeros((len(t), 3)))
+
+    def test_poly_uniform_outputs_unchanged(self):
+        spec = scenario_from_dict(POLY_UNIFORM)
+        sol = solve_backward(spec, 1024)
+        path = propagate_moments(sol, spec)
+        got = {"u0": sol.u[0], "udot0": sol.udot[0], "v0": sol.v[0, 0], "C0": sol.C[0],
+               "A_mid": sol.A[512], "B_mid": sol.B[512, 0], "E_T": path.E[-1, 0],
+               "V_T": path.V[-1], "E_mid": path.E[512, 0], "V_mid": path.V[512]}
+        for name, ref in POLY_UNIFORM_VALUES.items():
+            assert got[name] == pytest.approx(ref, rel=1e-13, abs=1e-15), name
 
 
 class TestEvalControlPhi:

@@ -1,7 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mfg_moments import (
     CharFunEvaluator,
@@ -11,6 +13,7 @@ from mfg_moments import (
     SingularityError,
     compare_report,
     empirical_charfun,
+    mc,
     propagate_moments,
     simulate_paths,
     solve_backward,
@@ -124,6 +127,68 @@ class TestSimulation:
         cfg = SimConfig(n_paths=1000, dt=math.pi / 1000, seed=1, record_times=(math.pi / 2,))
         with pytest.raises(SingularityError, match="singular drift"):
             simulate_paths(spec, sol, cfg)
+
+
+JUMP_LAWS = {
+    "none": {},
+    "point": {"lam": 3.0, "jump": {"type": "point", "params": {"z0": 0.4}}},
+    "gaussian": {"lam": 3.0, "jump": {"type": "gaussian", "params": {"mu": 0.1, "sigma": 0.3}}},
+}
+
+
+class TestBlockSampler:
+    @settings(max_examples=12, deadline=None)
+    @given(n_paths=st.integers(1000, 3 * mc._BLOCK), jumps=st.sampled_from(sorted(JUMP_LAWS)),
+           gaussian_initial=st.booleans(), seed=st.integers(0, 2**31 - 1))
+    def test_worker_count_does_not_change_a_bit(self, n_paths, jumps, gaussian_initial, seed):
+        spec = make_spec(a=-0.3, b=0.1, delta=0.5, x0=0.2, v0=0.3 if gaussian_initial else 0.0,
+                         **JUMP_LAWS[jumps])
+        sol = solve_backward(spec, 256)
+        cfg = SimConfig(n_paths=n_paths, dt=0.01, seed=seed, record_times=(0.3, 1.0))
+        out = {}
+        with pytest.MonkeyPatch.context() as mp:
+            for workers in ("1", "3"):
+                mp.setenv("MFG_MOMENTS_THREADS", workers)
+                out[workers] = simulate_paths(spec, sol, cfg)
+        assert np.array_equal(out["1"].endpoints, out["3"].endpoints)
+        assert np.array_equal(out["1"].n_jumps, out["3"].n_jumps)
+
+    def test_chunk_budget_does_not_change_a_bit(self, monkeypatch):
+        spec = make_spec(n=2, a=-0.3, delta=0.5, x0=[0.1, -0.2], v0=0.2, lam=2.0,
+                         jump={"type": "gaussian", "params": {"mu": 0.1, "sigma": 0.3}})
+        sol, ref = run(spec, n_paths=5000, times=(0.0, 0.37, 1.0))
+        # one step per chunk, then three steps per chunk (which does not divide 200)
+        for budget in (1, 3 * 8 * mc._BLOCK * 2):
+            monkeypatch.setattr(mc, "_CHUNK_BYTES", budget)
+            _, res = run(spec, n_paths=5000, times=(0.0, 0.37, 1.0))
+            assert np.array_equal(res.endpoints, ref.endpoints)
+            assert np.array_equal(res.n_jumps, ref.n_jumps)
+
+    def test_peak_memory_does_not_depend_on_dt(self, monkeypatch):
+        monkeypatch.setenv("MFG_MOMENTS_THREADS", "1")
+        spec = make_spec(a=-0.3, delta=0.5, lam=2.0, jump={"type": "point", "params": {"z0": 0.4}})
+        sol = solve_backward(spec, 512)
+        peaks = []
+        for dt in (0.005, 0.005 / 8):
+            cfg = SimConfig(n_paths=mc._BLOCK, dt=dt, seed=3, record_times=(0.5, 1.0),
+                            keep_endpoints=False)
+            tracemalloc.start()
+            try:
+                simulate_paths(spec, sol, cfg)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) <= 1.5 * min(peaks), peaks
+
+    def test_jump_totals_follow_the_poisson_rate(self):
+        lam, n_paths = 3.0, 20000
+        spec = make_spec(delta=0.5, lam=lam, jump={"type": "point", "params": {"z0": 0.2}})
+        times = (0.0, 0.25, 0.5, 1.0)
+        _, res = run(spec, n_paths=n_paths, dt=0.01, seed=5, times=times)
+        assert res.n_jumps[0] == 0
+        for t, total in zip(times[1:], res.n_jumps[1:]):
+            expected = lam * t * n_paths
+            assert abs(total - expected) <= 4.0 * math.sqrt(expected), (t, total)
 
 
 class TestEmpiricalCharfun:
