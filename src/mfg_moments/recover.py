@@ -4,11 +4,13 @@ Constant coefficients only: the expectation follows one of three explicit
 families depending on the sign of a (trigonometric, hyperbolic, or
 quadratic in t), so recovery reduces to picking the branch and fitting
 (a, b) plus the linear constants.  The frequency/rate is profiled out:
-for a fixed nu the model is linear in the remaining constants, so the
-nonlinear search runs over log(nu) alone, multi-started on a fixed grid.
-The noise scale K is then identified from the variance series with the
-branch and frequency frozen.  The (a, b) covariance comes from
-sensitivities integrated by ``ode.rk4_linear``.
+for a fixed nu the model is linear in the remaining constants (variable
+projection, Golub & Pereyra 1973), so the nonlinear search runs over
+log(nu) alone.  A fixed log-spaced grid brackets every local minimum of
+the profiled residual and Brent's derivative-free search refines each one;
+no optimization library is needed.  The noise scale K is then identified
+from the variance series with the branch and frequency frozen.  The (a, b)
+covariance comes from sensitivities integrated by ``ode.rk4_linear``.
 """
 
 from __future__ import annotations
@@ -23,7 +25,11 @@ from .hermite import Hermite
 from .ode import rk4_linear
 
 BRANCHES = ("oscillatory", "exponential", "polynomial")
-_NU_STARTS = np.logspace(-2, 2, 16)
+# The profiled search: grid size over log(nu), its lowest frequency/rate, and
+# Brent's tolerance on log(nu).
+_GRID_POINTS = 96
+_NU_FLOOR = 1e-3
+_BRENT_TOL = 1e-10
 _RSS_FLOOR = 1e-300
 
 
@@ -39,9 +45,17 @@ class ObservedSeries:
         t = np.asarray(self.t, float)
         E = np.asarray(self.E, float)
         V = np.asarray(self.V, float)
+        if t.ndim != 1 or V.ndim != 1 or E.ndim not in (1, 2):
+            raise ScenarioError("observed series needs 1-D t and V and a 1-D or 2-D E")
+        E = E if E.ndim == 2 else E[:, None]
         object.__setattr__(self, "t", t)
-        object.__setattr__(self, "E", E if E.ndim == 2 else E[:, None])
+        object.__setattr__(self, "E", E)
         object.__setattr__(self, "V", V)
+        if E.shape[1] == 0:
+            raise ScenarioError("observed series has no E column")
+        if len(E) != len(t) or len(V) != len(t):
+            raise ScenarioError(f"observed series has {len(t)} times but {len(E)} rows of E "
+                                f"and {len(V)} of V")
         if len(t) < 8:
             raise ScenarioError("observed series needs at least 8 samples")
         if np.any(np.diff(t) <= 0):
@@ -165,20 +179,72 @@ def _profiled_fit(branch: str, nu: float, t: np.ndarray, E: np.ndarray):
     return beta, E - design @ beta
 
 
-def _fit_branch_E(branch: str, series: ObservedSeries, nu_min: float = 0.0):
-    """Best E-fit of one branch; returns (nu, beta, rss) or None.
+def _brent(f, lo: float, hi: float) -> tuple[float, float]:
+    """Minimum of f on [lo, hi] by Brent's parabolic/golden-section search.
 
-    ``nu_min`` rejects converged frequencies/rates that are unresolvable
-    within the observation window (used during classification, where an
-    arbitrarily slow oscillation would shadow the polynomial branch).
-    Frequencies above the sampling Nyquist limit alias onto slower ones on
-    a uniform grid and are rejected as well; rates are capped where the
-    hyperbolic basis overflows.
+    Returns (x, f(x)), x within ``_BRENT_TOL`` of a local minimum (Brent,
+    "Algorithms for Minimization without Derivatives", 1973, ch. 5).  An end
+    of the bracket that lies strictly below the interior minimum found is
+    returned exactly, so a caller can tell a minimum on the boundary.
     """
-    # Imported here, not with the module: only recovery needs scipy, and
-    # loading it takes longer than the whole of a short CLI command.
-    from scipy.optimize import least_squares
+    golden = 0.5 * (3.0 - math.sqrt(5.0))
+    tol = _BRENT_TOL
+    a, b = lo, hi
+    x = w = v = a + golden * (b - a)
+    fx = fw = fv = f(x)
+    d = e = 0.0
+    for _ in range(200):
+        mid = 0.5 * (a + b)
+        if abs(x - mid) <= 2.0 * tol - 0.5 * (b - a):
+            break
+        # The parabola through (v, w, x) is taken when its vertex lies in
+        # (a, b) and moves less than half the step before last; otherwise
+        # a golden-section step into the larger part of the bracket.
+        r = (x - w) * (fx - fv)
+        q = (x - v) * (fx - fw)
+        p = (x - v) * q - (x - w) * r
+        q = 2.0 * (q - r)
+        p, q = (-p, q) if q > 0 else (p, -q)
+        if abs(e) > tol and abs(p) < abs(0.5 * q * e) and q * (a - x) < p < q * (b - x):
+            e, d = d, p / q
+            if x + d - a < 2.0 * tol or b - x - d < 2.0 * tol:
+                d = math.copysign(tol, mid - x)
+        else:
+            e = (b - x) if x < mid else (a - x)
+            d = golden * e
+        u = x + (d if abs(d) >= tol else math.copysign(tol, d))
+        fu = f(u)
+        if fu <= fx:
+            a, b = (a, x) if u < x else (x, b)
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            a, b = (u, b) if u < x else (a, u)
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+    for end in (lo, hi):
+        f_end = f(end)
+        if f_end < fx:
+            x, fx = end, f_end
+    return x, fx
 
+
+def _fit_branch_E(branch: str, series: ObservedSeries, nu_min: float = 0.0):
+    """Best E-fit of one branch; returns (nu, beta, rss).
+
+    The oscillatory and exponential fits minimize the profiled residual
+    over log(nu): a fixed grid of ``_GRID_POINTS`` values brackets every
+    local minimum, and Brent's search refines each.  The search interval is
+    [max(nu_min, ``_NU_FLOOR``), nu_max].  A minimum on one of the problem's
+    own bounds is rejected: ``nu_min`` when it is positive (classification,
+    where an arbitrarily slow oscillation would shadow the polynomial
+    branch), and nu_max, the sampling Nyquist limit above which frequencies
+    alias onto slower ones, or the rate where the hyperbolic basis
+    overflows.  A minimum on the grid's own floor is kept: there the data
+    are a polynomial that the branch reproduces as nu -> 0.  Raises
+    ``ConvergenceError`` when no minimum is left.
+    """
     t, E = series.t, series.E
     if branch == "polynomial":
         beta, resid = _profiled_fit(branch, 0.0, t, E)
@@ -188,31 +254,35 @@ def _fit_branch_E(branch: str, series: ObservedSeries, nu_min: float = 0.0):
         nu_max = math.pi / float(np.min(np.diff(t)))
     else:
         nu_max = 700.0 / max(float(t[-1]), 1e-12)
+    nu_lo = max(nu_min, _NU_FLOOR)
+    failure = f"profiled {branch} search found no minimum inside nu in [{nu_min:.6g}, {nu_max:.6g}]"
+    if not nu_lo < nu_max:
+        raise ConvergenceError(failure)
 
-    def residual_fn(log_nu):
-        _, resid = _profiled_fit(branch, math.exp(float(log_nu[0])), t, E)
-        return resid.ravel()
+    def rss(log_nu):
+        _, resid = _profiled_fit(branch, math.exp(log_nu), t, E)
+        return float(np.sum(resid * resid))
 
+    grid = np.linspace(math.log(nu_lo), math.log(nu_max), _GRID_POINTS).tolist()
+    values = [rss(x) for x in grid]
+    bounds = {grid[-1], grid[0]} if nu_min > 0.0 else {grid[-1]}
+    last = len(grid) - 1
     best = None
-    for idx, nu0 in enumerate(_NU_STARTS):
-        try:
-            out = least_squares(
-                residual_fn, x0=[math.log(nu0)], method="lm",
-                xtol=1e-10, ftol=1e-12, gtol=1e-12, max_nfev=400,
-            )
-        except Exception:
+    for i in range(len(grid)):
+        # The first point of a flat run stands for the whole run.
+        if (i > 0 and values[i] >= values[i - 1]) or (i < last and values[i] > values[i + 1]):
             continue
-        nu = float(np.exp(out.x[0]))
-        if not nu_min <= nu <= nu_max:
+        log_nu, value = _brent(rss, grid[max(i - 1, 0)], grid[min(i + 1, last)])
+        if log_nu in bounds:
             continue
-        rss = float(np.sum(out.fun * out.fun))
-        if best is None or rss < best[0] - 1e-15 * max(1.0, best[0]):
-            best = (rss, idx, nu)
+        if best is None or value < best[0] - 1e-15 * max(1.0, best[0]):
+            best = (value, log_nu)
     if best is None:
-        return None
-    rss, _, nu = best
+        raise ConvergenceError(failure)
+    value, log_nu = best
+    nu = math.exp(log_nu)
     beta, _ = _profiled_fit(branch, nu, t, E)
-    return nu, beta, rss
+    return nu, beta, value
 
 
 def _aicc(rss: float, m: int, k: int, scale: float) -> float:
@@ -244,11 +314,12 @@ def classify_branch(series: ObservedSeries) -> tuple[str, float]:
     scores = []
     for branch in BRANCHES:
         k = (1 + 3 * series.n) if branch != "polynomial" else 3 * series.n
-        fit = _fit_branch_E(branch, series, nu_min=0.0 if branch == "polynomial" else nu_min)
-        if fit is None or not math.isfinite(fit[2]):
+        try:
+            fit = _fit_branch_E(branch, series, nu_min=0.0 if branch == "polynomial" else nu_min)
+        except ConvergenceError:
             scores.append(math.inf)
-        else:
-            scores.append(_aicc(fit[2], m, k, scale))
+            continue
+        scores.append(_aicc(fit[2], m, k, scale) if math.isfinite(fit[2]) else math.inf)
     order = sorted(range(3), key=lambda i: (scores[i], i))
     if not math.isfinite(scores[order[0]]):
         return "indeterminate", 0.0
@@ -304,10 +375,7 @@ def fit_parameters(series: ObservedSeries, branch: str | None = None) -> Recover
     if branch not in BRANCHES:
         raise ScenarioError(f"unknown branch {branch!r}")
 
-    fit = _fit_branch_E(branch, series)
-    if fit is None:
-        raise ConvergenceError("no least-squares start converged")
-    nu, beta, rss = fit
+    nu, beta, rss = _fit_branch_E(branch, series)
     t = series.t
 
     if branch == "oscillatory":
@@ -392,12 +460,30 @@ def evaluate_fit(params: RecoveredParams, series: ObservedSeries) -> FitDiagnost
 
 
 def series_from_csv(text: str) -> ObservedSeries:
-    """Read an observation CSV with columns t, E (or E_1..E_n), V."""
-    lines = [ln for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
-    header = [name.strip() for name in lines[0].split(",")]
-    if header[0] != "t" or header[-1] != "V":
+    """Read an observation CSV with columns t, E (or E_1..E_n), V.
+
+    Blank lines and lines starting with '#' are skipped.  A malformed file
+    raises ``ScenarioError`` naming the line at fault.
+    """
+    rows = [(no, ln) for no, ln in enumerate(text.splitlines(), 1)
+            if ln.strip() and not ln.startswith("#")]
+    if not rows:
+        raise ScenarioError("observation CSV is empty")
+    header = [name.strip() for name in rows[0][1].split(",")]
+    if len(header) < 3 or header[0] != "t" or header[-1] != "V":
         raise ScenarioError("observation CSV must have columns t, E..., V")
-    data = np.array([[float(x) for x in ln.split(",")] for ln in lines[1:]])
+    if len(rows) == 1:
+        raise ScenarioError("observation CSV has a header but no data rows")
+    data = np.empty((len(rows) - 1, len(header)))
+    for row, (no, ln) in zip(data, rows[1:]):
+        cells = ln.split(",")
+        if len(cells) != len(header):
+            raise ScenarioError(f"observation CSV line {no} has {len(cells)} fields, "
+                                f"the header {len(header)}")
+        try:
+            row[:] = [float(x) for x in cells]
+        except ValueError:
+            raise ScenarioError(f"observation CSV line {no} holds a value that is not a number") from None
     return ObservedSeries(t=data[:, 0], E=data[:, 1:-1], V=data[:, -1])
 
 

@@ -239,6 +239,25 @@ class TestRecover:
         assert abs(doc["a"] - 1.0) < 1e-6
         assert abs(doc["b"][0] - 0.5) < 1e-6
 
+    VALID = "t,E,V\n" + "".join(f"{i},{1 + 2 * i},1\n" for i in range(10))
+
+    @pytest.mark.parametrize("text,cause", [
+        ("", "empty"),
+        ("t,E,V\n", "no data rows"),
+        (VALID.replace("\n3,7,1\n", "\n3,7\n"), "line 5 has 2 fields"),
+        (VALID.replace("\n3,7,1\n", "\n3,x,1\n"), "line 5 holds a value that is not a number"),
+        ("t,V\n" + "".join(f"{i},1\n" for i in range(10)), "columns t, E..., V"),
+    ], ids=["empty", "header-only", "ragged-row", "non-numeric", "no-E-column"])
+    def test_malformed_input_is_a_one_line_validation_error(self, tmp_path, capsys, text, cause):
+        series = tmp_path / "series.csv"
+        series.write_text(text)
+        out = tmp_path / "out"
+        assert main(["recover", "--input", str(series), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: ") and err.count("\n") == 1
+        assert cause in err
+        assert not out.exists()
+
     def test_branch_override(self, tmp_path):
         t = np.linspace(0, 2, 30)
         lines = ["t,E,V"] + [f"{ti},{1 + 2 * ti},{1.0}" for ti in t]

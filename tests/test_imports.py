@@ -21,12 +21,15 @@ def scipy_modules():
 assert not scipy_modules(), scipy_modules()
 t = np.linspace(0.0, 2.0, 12)
 series = mfg_moments.ObservedSeries(t=t, E=np.cos(t), V=1.0 + 0.1 * t)
-mfg_moments.fit_parameters(series, branch="oscillatory")
-assert "scipy.optimize" in sys.modules, scipy_modules()
+mfg_moments.classify_branch(series)
+assert not scipy_modules(), ("classify_branch", scipy_modules())
+for branch in mfg_moments.recover.BRANCHES:
+    mfg_moments.fit_parameters(series, branch=branch)
+    assert not scipy_modules(), (branch, scipy_modules())
 """
 
 
-def test_scipy_is_loaded_only_by_recovery():
+def test_recovery_loads_no_scipy():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join([SRC, *filter(None, [env.get("PYTHONPATH")])])
     proc = subprocess.run([sys.executable, "-c", PROBE], env=env, capture_output=True,

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mfg_moments import (
+    ConvergenceError,
     ObservedSeries,
     ScenarioError,
     classify_branch,
@@ -13,6 +16,7 @@ from mfg_moments import (
     series_from_csv,
     series_to_csv,
 )
+from mfg_moments.recover import _BRENT_TOL, _brent
 
 
 def synthetic(a, b, K, t, init=None, noise=0.0, seed=0):
@@ -42,6 +46,16 @@ class TestObservedSeries:
         t = np.linspace(1, 0, 10)
         with pytest.raises(ScenarioError, match="increasing"):
             ObservedSeries(t=t, E=np.zeros(10), V=np.ones(10))
+
+    @pytest.mark.parametrize("E,V,match", [
+        (np.zeros((10, 0)), np.ones(10), "no E column"),
+        (np.zeros(9), np.ones(10), "10 times but 9 rows of E and 10 of V"),
+        (np.zeros((10, 2)), np.ones(11), "10 times but 10 rows of E and 11 of V"),
+        (np.zeros((10, 1, 1)), np.ones(10), "1-D or 2-D E"),
+    ])
+    def test_rejects_mismatched_shapes(self, E, V, match):
+        with pytest.raises(ScenarioError, match=match):
+            ObservedSeries(t=np.linspace(0, 1, 10), E=E, V=V)
 
     def test_csv_round_trip(self):
         t = np.linspace(0, 2, 12)
@@ -147,3 +161,48 @@ class TestFit:
         assert abs(params.a - 1.0) < 1e-6
         assert params.b.shape == (2,)
         assert np.allclose(params.b, 0.5, atol=1e-6)
+
+
+class TestProfiledSearch:
+    @pytest.mark.parametrize("f", [lambda x: (x - 0.3) ** 2, lambda x: abs(x - 0.3)],
+                             ids=["quadratic", "v-shape"])
+    def test_brent_reaches_its_tolerance(self, f):
+        x, fx = _brent(f, 0.0, 1.0)
+        assert abs(x - 0.3) <= 2 * _BRENT_TOL
+        assert fx == f(x)
+
+    @pytest.mark.parametrize("f,end", [(lambda x: x, 0.0), (lambda x: -x, 1.0)],
+                             ids=["increasing", "decreasing"])
+    def test_brent_returns_the_bracket_end(self, f, end):
+        assert _brent(f, 0.0, 1.0) == (end, f(end))
+
+    # A polynomial series is the nu -> 0 limit of both other branches, so a
+    # forced fit must end at the low end of the search, not at a spurious
+    # interior minimum.
+    @pytest.mark.parametrize("branch", ["oscillatory", "exponential"])
+    @pytest.mark.parametrize("shape", [lambda t: 1 + 2 * t, lambda t: 1 + 2 * t - t**2,
+                                       lambda t: np.full_like(t, 2.5)],
+                             ids=["linear", "quadratic", "constant"])
+    def test_polynomial_series_forced_onto_another_branch(self, branch, shape):
+        t = np.linspace(0, 3, 40)
+        params = fit_parameters(ObservedSeries(t=t, E=shape(t), V=np.ones(40)), branch=branch)
+        assert params.rms_residual_E < 1e-6
+
+    def test_failure_names_the_search_and_its_interval(self):
+        # Samples 4000 apart put the Nyquist frequency below the search floor.
+        series = ObservedSeries(t=4000.0 * np.arange(8), E=np.ones(8), V=np.ones(8))
+        with pytest.raises(ConvergenceError, match=r"profiled oscillatory search .*\[0, 0.000785398\]"):
+            fit_parameters(series, branch="oscillatory")
+
+    @settings(max_examples=12, deadline=None)
+    @given(sign=st.sampled_from([1.0, -1.0]), nu=st.floats(0.5, 3.0),
+           turns=st.floats(2.0, 8.0), b=st.floats(-1.0, 1.0), E0=st.floats(-1.0, 1.0),
+           E0p=st.floats(0.5, 1.5))
+    def test_noiseless_round_trip_property(self, sign, nu, turns, b, E0, E0p):
+        # nu * window = turns <= 8 keeps nu below a sixth of the Nyquist limit 49 pi / window.
+        a = 0.5 * sign * nu * nu
+        t = np.linspace(0, turns / nu, 50)
+        params = fit_parameters(synthetic(a, b, 0.3, t, init={"E0": E0, "E0p": E0p,
+                                                              "V0": 1.0, "V0p": 0.0}))
+        assert abs(params.a - a) < 1e-6
+        assert abs(params.b[0] - b) < 1e-6
