@@ -61,6 +61,7 @@ from .moments import (
     propagate_moments,
     residual_check,
     solve_meanfield_fixedpoint,
+    solve_scenario,
 )
 from .recover import (
     FitDiagnostics,

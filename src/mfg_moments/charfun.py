@@ -42,9 +42,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConvergenceError, GridResolutionError, ScenarioError, SingularityError
-from .hjb import HjbSolution, solve_backward
+from .hjb import HjbSolution
 from .model import InitialLaw, ScenarioSpec, jump_charfn_batch, jump_moments, jump_second_moment_matrix
-from .moments import MomentPath, propagate_moments
+from .moments import MomentPath, propagate_moments, solve_scenario
 
 _MAX_QUAD_NODES = 1 << 16
 # Log-modulus bound below which a density frequency is not evaluated: exp()
@@ -141,7 +141,8 @@ class CharFunEvaluator:
 
     @classmethod
     def from_scenario(cls, spec: ScenarioSpec, N: int = 4096, M: int = 512) -> "CharFunEvaluator":
-        return cls.from_solution(spec, solve_backward(spec, N), M=M)
+        """Evaluator on ``solve_scenario``'s solution, the fixed point's for a mean-field b."""
+        return cls.from_solution(spec, solve_scenario(spec, N)[0], M=M)
 
     @classmethod
     def from_solution(

@@ -22,10 +22,10 @@ import numpy as np
 from . import __version__
 from .charfun import CharFunEvaluator, check_quad_nodes
 from .errors import NumericsError, ScenarioError
-from .hjb import hjb_to_csv, solve_backward
+from .hjb import hjb_to_csv
 from .mc import SimConfig, compare_report, endpoints_to_csv, sim_to_csv, simulate_paths
 from .model import parse_scenario, serialize_scenario
-from .moments import moments_to_csv, propagate_moments, solve_meanfield_fixedpoint
+from .moments import moments_to_csv, solve_scenario
 from .recover import evaluate_fit, fit_parameters, series_from_csv
 
 _EXIT_OK = 0
@@ -90,15 +90,6 @@ def _parse_times(text: str) -> tuple[float, ...]:
         raise ScenarioError(f"invalid time list {text!r}") from None
 
 
-def _solve_pipeline(spec, N: int):
-    if spec.cost.b.kind == "meanfield":
-        mf = solve_meanfield_fixedpoint(spec, N=N)
-        return mf.sol, mf.path
-    sol = solve_backward(spec, N)
-    path = propagate_moments(sol, spec)
-    return sol, path
-
-
 def _cmd_validate(args) -> int:
     spec = _load_scenario(args.scenario)
     print(f"OK: dimension={spec.n} T={spec.T} delta={spec.delta} lambda={spec.lam}")
@@ -107,7 +98,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_solve(args) -> int:
     spec = _load_scenario(args.scenario)
-    sol, path = _solve_pipeline(spec, args.grid)
+    sol, path = solve_scenario(spec, args.grid)
     out = _OutputWriter(args.out)
     out.write("hjb.csv", hjb_to_csv(sol))
     out.write("moments.csv", moments_to_csv(path))
@@ -146,7 +137,7 @@ def _cmd_simulate(args) -> int:
         keep_endpoints=args.dump_endpoints,
     )
     cfg.validate(spec)
-    sol = solve_backward(spec, args.grid)
+    sol, _ = solve_scenario(spec, args.grid)
     result = simulate_paths(spec, sol, cfg)
     out = _OutputWriter(args.out)
     out.write("sim.csv", sim_to_csv(result))
@@ -174,8 +165,7 @@ def _cmd_compare(args) -> int:
         cfg2 = SimConfig(n_paths=args.paths, dt=args.dt2, seed=args.seed, record_times=times)
         cfg2.validate(spec)
     check_quad_nodes(args.quad)
-    sol = solve_backward(spec, args.grid)
-    path = propagate_moments(sol, spec)
+    sol, path = solve_scenario(spec, args.grid)
     ev = CharFunEvaluator.from_solution(spec, sol, M=args.quad)
     result = simulate_paths(spec, sol, cfg)
     refined = None if cfg2 is None else simulate_paths(spec, sol, cfg2)

@@ -23,6 +23,7 @@ the u cubic, found by safeguarded Newton steps inside each sign change.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -54,6 +55,8 @@ class HjbSolution:
     the first focal time (going backward from T) whenever its sources are
     singular there.  ``uddot`` and ``vdot`` are the derivatives of ``udot``
     and ``v`` at the nodes, the slopes of their Hermite interpolants.
+    ``a_fn`` and ``b_fn`` are the coefficients it was solved with, the
+    scenario's own or a ``b_override``.
     """
 
     t: np.ndarray
@@ -64,9 +67,10 @@ class HjbSolution:
     B: np.ndarray  # (N+1, n)
     C: np.ndarray
     singular_times: tuple[float, ...]
-    spec: ScenarioSpec
     uddot: np.ndarray
     vdot: np.ndarray  # (N+1, n)
+    a_fn: Callable[[np.ndarray], np.ndarray]
+    b_fn: Callable[[np.ndarray], np.ndarray]
 
     @property
     def n(self) -> int:
@@ -136,6 +140,7 @@ def solve_backward(spec: ScenarioSpec, N: int = 4096, b_override=None) -> HjbSol
     ``b_override`` substitutes an explicit time function for the
     running-cost slope, which is how the mean-field fixed point freezes
     its coupling; a mean-field scenario without an override is rejected.
+    The solution keeps the a(t) and b(t) used, for every later step to read.
     """
     if N < 100:
         raise ScenarioError(f"grid N={N}: must be >= 100")
@@ -200,9 +205,14 @@ def solve_backward(spec: ScenarioSpec, N: int = 4096, b_override=None) -> HjbSol
         B=B,
         C=C,
         singular_times=tuple(singular),
-        spec=spec,
         **slopes,
+        a_fn=a_fn,
+        b_fn=b_fn,
     )
+
+
+def _no_coefficient(t):
+    raise ScenarioError("hjb_from_csv without an explicit-b scenario carries no coefficients")
 
 
 def _node_slopes(a_nodes, b_nodes, lam_M1, u, udot) -> dict[str, np.ndarray]:
@@ -279,18 +289,16 @@ class ConditionReport:
     singular_times: tuple[float, ...]
 
 
-def check_conditions(
-    sol: HjbSolution, spec: ScenarioSpec, b_override=None
-) -> ConditionReport:
+def check_conditions(sol: HjbSolution, spec: ScenarioSpec) -> ConditionReport:
     """Evaluate both integrability conditions at N and 2N grid resolutions.
 
-    The first condition requires the weight exp(2 int_0^T A) to be finite,
-    which with the linearizer means u has no zero on [0, T] and u(0) != 0.
-    The second integral is flagged divergent when refining the grid moves
-    its value by more than 10 percent.
+    The 2N solve uses ``sol``'s own b.  The first condition requires the
+    weight exp(2 int_0^T A) to be finite, which with the linearizer means u
+    has no zero on [0, T] and u(0) != 0.  The second integral is flagged
+    divergent when refining the grid moves its value by more than 10 percent.
     """
     N = len(sol.t) - 1
-    sol2 = solve_backward(spec, 2 * N, b_override=b_override)
+    sol2 = solve_backward(spec, 2 * N, b_override=sol.b_fn)
 
     u0 = sol.u[0]
     umax = float(np.max(np.abs(sol.u)))
@@ -344,7 +352,7 @@ def hjb_from_csv(text: str, spec: ScenarioSpec | None = None) -> HjbSolution:
     equations when ``spec`` is given, as in ``solve_backward``.  The CSV
     holds no coefficients, so without a spec (or with a mean-field b,
     which the spec does not fix) they are second-order finite differences
-    of the columns.
+    of the columns, and the solution's coefficients raise ``ScenarioError``.
     """
     lines = [ln for ln in text.splitlines() if ln.strip()]
     header = lines[0].split(",")
@@ -354,10 +362,12 @@ def hjb_from_csv(text: str, spec: ScenarioSpec | None = None) -> HjbSolution:
     v = data[:, 4 : 4 + n]
     B = data[:, 4 + n : 4 + 2 * n]
     C = data[:, 4 + 2 * n]
+    a_fn = b_fn = _no_coefficient
     if spec is not None and spec.cost.b.kind != "meanfield":
+        a_fn, b_fn = scalar_fn(spec.cost.a), vector_fn(spec.cost.b, n)
         lam_M1 = spec.lam * jump_moments(spec.jump)[0] if spec.lam > 0 else np.zeros(n)
-        a_nodes = eval_scalar_grid(scalar_fn(spec.cost.a), t, "a")
-        b_nodes = eval_vector_grid(vector_fn(spec.cost.b, n), t, n, "b")
+        a_nodes = eval_scalar_grid(a_fn, t, "a")
+        b_nodes = eval_vector_grid(b_fn, t, n, "b")
         slopes = _node_slopes(a_nodes, b_nodes, lam_M1, u, udot)
     else:
         slopes = {
@@ -373,6 +383,7 @@ def hjb_from_csv(text: str, spec: ScenarioSpec | None = None) -> HjbSolution:
         B=B,
         C=C,
         singular_times=tuple(_locate_zeros(t, u, udot)),
-        spec=spec,
         **slopes,
+        a_fn=a_fn,
+        b_fn=b_fn,
     )

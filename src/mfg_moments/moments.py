@@ -10,7 +10,8 @@ production rate ``K = delta^2 + lambda * M2 / n``.  Both satisfy the
 first-order relations ``E' = 2 A E + B + lambda M1`` and ``V' = 4 A V + K``
 wherever A is finite.  The E columns and psi are advanced together by
 ``ode.rk4_linear``, and the second-order residuals are checked on every
-propagation.
+propagation; a(t) and b(t) are the ones the backward solution was solved with.
+``solve_scenario`` picks the mean-field fixed point or a single solve.
 
 Off-grid values come from cubic Hermite interpolants (``hermite``) built
 from the derivatives the propagation already has: E from E', E' from
@@ -29,14 +30,7 @@ import numpy as np
 from .errors import ConvergenceError, FormulaValidationError, ScenarioError, SingularityError
 from .hermite import Hermite
 from .hjb import HjbSolution, solve_backward
-from .model import (
-    ScenarioSpec,
-    eval_scalar_grid,
-    eval_vector_grid,
-    jump_moments,
-    scalar_fn,
-    vector_fn,
-)
+from .model import ScenarioSpec, eval_scalar_grid, eval_vector_grid, jump_moments
 from .ode import cumsimpson, rk4_linear
 
 
@@ -89,13 +83,8 @@ def variance_rate(spec: ScenarioSpec) -> float:
     return spec.delta**2
 
 
-def propagate_moments(
-    sol: HjbSolution,
-    spec: ScenarioSpec,
-    b_override=None,
-    literal_init: bool = False,
-) -> MomentPath:
-    """Propagate E(t) and V(t) forward on the solve grid.
+def propagate_moments(sol: HjbSolution, spec: ScenarioSpec, literal_init: bool = False) -> MomentPath:
+    """Propagate E(t) and V(t) forward on the solve grid, with the a(t) and b(t) ``sol`` holds.
 
     ``literal_init`` switches to the diagnostic mode in which the initial
     expectation and variance are added without flow propagation factors
@@ -111,14 +100,6 @@ def propagate_moments(
     if abs(u0) < 1e-9 * float(np.max(np.abs(sol.u))):
         raise SingularityError("condition (A_int) violated: u(0) = 0")
 
-    a_fn = scalar_fn(spec.cost.a)
-    if b_override is not None:
-        b_fn = b_override
-    elif spec.cost.b.kind == "meanfield":
-        raise ScenarioError("mean-field coupled b requires the fixed-point driver")
-    else:
-        b_fn = vector_fn(spec.cost.b, n)
-
     lam = spec.lam
     M1 = jump_moments(spec.jump)[0] if lam > 0 else np.zeros(n)
     K = variance_rate(spec)
@@ -126,8 +107,8 @@ def propagate_moments(
     v0 = spec.initial.v0
 
     th = np.linspace(0.0, spec.T, 2 * N + 1)
-    a_grid = eval_scalar_grid(a_fn, th, "a")
-    b_grid = eval_vector_grid(b_fn, th, n, "b")
+    a_grid = eval_scalar_grid(sol.a_fn, th, "a")
+    b_grid = eval_vector_grid(sol.b_fn, th, n, "b")
     a_nodes, b_nodes = a_grid[::2, None], b_grid[::2]
     u, ud = sol.u, sol.udot
 
@@ -170,7 +151,7 @@ def propagate_moments(
         residual_E=math.nan, residual_V=None, residual_V_note="", focal=focal,
         literal=literal_init,
     )
-    rep = residual_check(path, spec, b_override=b_override)
+    rep = residual_check(path, sol)
     path.residual_E = rep.rE
     path.residual_V = rep.rV
     path.residual_V_note = rep.note
@@ -206,26 +187,20 @@ def _stencils(t: np.ndarray, y: np.ndarray):
     return s * np.arange(2, len(ys) - 2), d1, d2
 
 
-def residual_check(path: MomentPath, spec: ScenarioSpec, b_override=None) -> ResidualReport:
+def residual_check(path: MomentPath, sol: HjbSolution) -> ResidualReport:
     """Max-norm residuals of the second-order moment equations, by ``_stencils``.
 
-    rE checks E'' + 2 a E + b and rV checks V'' + 4 a V - ((V')^2 - K^2)/(2V).
+    rE checks E'' + 2 a E + b and rV checks V'' + 4 a V - ((V')^2 - K^2)/(2V),
+    with the a and b that ``sol`` was solved with.
     The variance residual is skipped when V comes within 1e-6 of zero on
     the stencil nodes, since the equation divides by 2V.
     """
     t, E, V = path.t, path.E, path.V
     n = E.shape[1]
-    a_fn = scalar_fn(spec.cost.a)
-    if b_override is not None:
-        b_fn = b_override
-    elif spec.cost.b.kind == "meanfield":
-        raise ScenarioError("residual_check needs an explicit b (pass b_override)")
-    else:
-        b_fn = vector_fn(spec.cost.b, n)
 
     idx, _, Epp = _stencils(t, E)
-    a_s = eval_scalar_grid(a_fn, t[idx], "a")
-    b_s = eval_vector_grid(b_fn, t[idx], n, "b")
+    a_s = eval_scalar_grid(sol.a_fn, t[idx], "a")
+    b_s = eval_vector_grid(sol.b_fn, t[idx], n, "b")
     rE = float(np.max(np.abs(Epp + 2.0 * a_s[:, None] * E[idx] + b_s)))
 
     if float(np.min(V[idx])) < 1e-6:
@@ -447,10 +422,8 @@ def solve_meanfield_fixedpoint(
                 f"mean-field fixed point did not converge in {max_iter} iterations "
                 f"(last increment {delta:.3e})"
             )
-        b_fn = frozen_b(t_it, E, Ep, Epp)
-        path = propagate_moments(
-            solve_backward(spec, N_it, b_override=b_fn), spec, b_override=b_fn
-        )
+        sol = solve_backward(spec, N_it, b_override=frozen_b(t_it, E, Ep, Epp))
+        path = propagate_moments(sol, spec)
         # Converged when consecutive map outputs agree or the damped
         # increment drops below tol, whichever happens first.
         delta = 0.5 * float(np.max(np.abs(path.E - E)))
@@ -467,14 +440,22 @@ def solve_meanfield_fixedpoint(
     # Final pass with the converged coupling at the requested resolution
     # keeps (sol, path, b) consistent.
     iteration = max(iteration, 1)
-    b_fn = frozen_b(t_it, E, Ep, Epp)
-    sol = solve_backward(spec, N, b_override=b_fn)
-    path = propagate_moments(sol, spec, b_override=b_fn)
+    sol = solve_backward(spec, N, b_override=frozen_b(t_it, E, Ep, Epp))
+    path = propagate_moments(sol, spec)
 
     a = spec.cost.a.values[0]
     idx, Ep, Epp = _stencils(path.t, path.E)
     residual = float(np.max(np.abs(Epp + b2 * Ep + (2.0 * a + b1) * path.E[idx] + b0)))
     return MeanFieldSolution(sol=sol, path=path, iterations=iteration, residual=residual)
+
+
+def solve_scenario(spec: ScenarioSpec, N: int = 4096) -> tuple[HjbSolution, MomentPath]:
+    """(sol, path) of any scenario: the fixed point for a mean-field b, one solve for any other."""
+    if spec.cost.b.kind == "meanfield":
+        mf = solve_meanfield_fixedpoint(spec, N=N)
+        return mf.sol, mf.path
+    sol = solve_backward(spec, N)
+    return sol, propagate_moments(sol, spec)
 
 
 def moments_to_csv(path: MomentPath) -> str:

@@ -30,7 +30,6 @@ BRANCHES = ("oscillatory", "exponential", "polynomial")
 _GRID_POINTS = 96
 _NU_FLOOR = 1e-3
 _BRENT_TOL = 1e-10
-_RSS_FLOOR = 1e-300
 
 
 @dataclass(frozen=True)
@@ -230,12 +229,18 @@ def _brent(f, lo: float, hi: float) -> tuple[float, float]:
     return x, fx
 
 
+def _rss_floor(series: ObservedSeries) -> float:
+    """The RSS of an expectation fit that is exact to rounding; fits below it tie."""
+    return (1e-12 * max(1.0, float(np.max(np.abs(series.E))))) ** 2 * series.E.size
+
+
 def _fit_branch_E(branch: str, series: ObservedSeries, nu_min: float = 0.0):
     """Best E-fit of one branch; returns (nu, beta, rss).
 
     The oscillatory and exponential fits minimize the profiled residual
     over log(nu): a fixed grid of ``_GRID_POINTS`` values brackets every
-    local minimum, and Brent's search refines each.  The search interval is
+    local minimum, and Brent's search refines each; exact fits tie at
+    ``_rss_floor``, so they form one flat minimum.  The search interval is
     [max(nu_min, ``_NU_FLOOR``), nu_max].  A minimum on one of the problem's
     own bounds is rejected: ``nu_min`` when it is positive (classification,
     where an arbitrarily slow oscillation would shadow the polynomial
@@ -259,9 +264,11 @@ def _fit_branch_E(branch: str, series: ObservedSeries, nu_min: float = 0.0):
     if not nu_lo < nu_max:
         raise ConvergenceError(failure)
 
+    floor = _rss_floor(series)
+
     def rss(log_nu):
         _, resid = _profiled_fit(branch, math.exp(log_nu), t, E)
-        return float(np.sum(resid * resid))
+        return max(float(np.sum(resid * resid)), floor)
 
     grid = np.linspace(math.log(nu_lo), math.log(nu_max), _GRID_POINTS).tolist()
     values = [rss(x) for x in grid]
@@ -269,6 +276,8 @@ def _fit_branch_E(branch: str, series: ObservedSeries, nu_min: float = 0.0):
     last = len(grid) - 1
     best = None
     for i in range(len(grid)):
+        if best is not None and best[0] <= floor:
+            break  # exact to rounding: a later minimum can only tie, and the lower nu wins ties
         # The first point of a flat run stands for the whole run.
         if (i > 0 and values[i] >= values[i - 1]) or (i < last and values[i] > values[i + 1]):
             continue
@@ -279,16 +288,15 @@ def _fit_branch_E(branch: str, series: ObservedSeries, nu_min: float = 0.0):
             best = (value, log_nu)
     if best is None:
         raise ConvergenceError(failure)
-    value, log_nu = best
-    nu = math.exp(log_nu)
-    beta, _ = _profiled_fit(branch, nu, t, E)
-    return nu, beta, value
+    nu = math.exp(best[1])
+    beta, resid = _profiled_fit(branch, nu, t, E)
+    return nu, beta, float(np.sum(resid * resid))
 
 
-def _aicc(rss: float, m: int, k: int, scale: float) -> float:
+def _aicc(rss: float, m: int, k: int, floor: float) -> float:
     # Fits at numerical zero are indistinguishable; flooring the RSS at the
     # round-off level makes the parameter-count penalty decide between them.
-    rss = max(rss, (1e-12 * scale) ** 2 * m, _RSS_FLOOR)
+    rss = max(rss, floor)
     penalty = 2.0 * k
     if m - k - 1 > 0:
         penalty += 2.0 * k * (k + 1) / (m - k - 1)
@@ -307,24 +315,29 @@ def classify_branch(series: ObservedSeries) -> tuple[str, float]:
     confidence is the criterion gap to the runner-up;
     ('indeterminate', 0.0) when every fit is degenerate.
     """
+    return _classify(series)[:2]
+
+
+def _classify(series: ObservedSeries):
+    """``classify_branch`` plus the winning branch's (nu, beta, rss) fit, None when indeterminate."""
     m = series.E.size
     window = float(series.t[-1] - series.t[0])
     nu_min = 1.5 / window
-    scale = max(1.0, float(np.max(np.abs(series.E))))
-    scores = []
+    floor = _rss_floor(series)
+    scores, fits = [], []
     for branch in BRANCHES:
         k = (1 + 3 * series.n) if branch != "polynomial" else 3 * series.n
         try:
             fit = _fit_branch_E(branch, series, nu_min=0.0 if branch == "polynomial" else nu_min)
         except ConvergenceError:
-            scores.append(math.inf)
-            continue
-        scores.append(_aicc(fit[2], m, k, scale) if math.isfinite(fit[2]) else math.inf)
+            fit = None
+        fits.append(fit)
+        scores.append(_aicc(fit[2], m, k, floor) if fit and math.isfinite(fit[2]) else math.inf)
     order = sorted(range(3), key=lambda i: (scores[i], i))
     if not math.isfinite(scores[order[0]]):
-        return "indeterminate", 0.0
+        return "indeterminate", 0.0, None
     confidence = scores[order[1]] - scores[order[0]] if math.isfinite(scores[order[1]]) else math.inf
-    return BRANCHES[order[0]], float(confidence)
+    return BRANCHES[order[0]], float(confidence), fits[order[0]]
 
 
 def _sensitivities(params: RecoveredParams, t: np.ndarray) -> np.ndarray:
@@ -363,19 +376,21 @@ def _sensitivity_covariance(params: RecoveredParams, series: ObservedSeries, rss
 def fit_parameters(series: ObservedSeries, branch: str | None = None) -> RecoveredParams:
     """Fit a, b and the model constants; then K from the variance series.
 
-    The branch is classified when not given.  a is identified from the
-    expectation's shape alone; the variance fit reuses the same frequency,
-    its constant offset kept free, and K recovered from the coefficient
-    constraint with any negative discriminant clamped to zero.
+    The branch and its E-fit come from classification when not given.  a is
+    identified from the expectation's shape alone; the variance fit reuses
+    the same frequency, its constant offset kept free, and K recovered from
+    the coefficient constraint with any negative discriminant clamped to zero.
     """
     if branch is None:
-        branch, _ = classify_branch(series)
-        if branch == "indeterminate":
+        branch, _, fit = _classify(series)
+        if fit is None:
             raise ConvergenceError("all branch fits are degenerate")
-    if branch not in BRANCHES:
+    elif branch in BRANCHES:
+        fit = _fit_branch_E(branch, series)
+    else:
         raise ScenarioError(f"unknown branch {branch!r}")
 
-    nu, beta, rss = _fit_branch_E(branch, series)
+    nu, beta, rss = fit
     t = series.t
 
     if branch == "oscillatory":

@@ -79,7 +79,7 @@ def test_acceptance_2_moment_equation_residuals():
         spec = make_spec(**kw)
         sol = solve_backward(spec, N=4096)
         path = propagate_moments(sol, spec)
-        rep = residual_check(path, spec)
+        rep = residual_check(path, sol)
         assert rep.rE < 1e-6, (kw, rep.rE)
         assert rep.rV is not None and rep.rV < 1e-6, (kw, rep.rV)
         worst_E = max(worst_E, rep.rE)

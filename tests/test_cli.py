@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mfg_moments import charfun, cli, closed_form_moments_const, hjb, moments, solve_backward
+from mfg_moments import charfun, closed_form_moments_const, hjb, moments, solve_backward
 from mfg_moments.cli import main
 from mfg_moments.hjb import hjb_from_csv
 from mfg_moments.moments import moments_from_csv
@@ -14,6 +14,8 @@ from mfg_moments.moments import moments_from_csv
 from conftest import make_doc
 
 PURE_JUMP = make_doc(delta=0.5, lam=2.0, jump={"type": "point", "params": {"z0": 1.0}})
+MEAN_FIELD = make_doc(a=0.2, meanfield={"b0": 0.2, "b1": 0.3, "b2": 0}, A_T=-0.1, B_T=0.1,
+                      delta=0.4, x0=1.0)
 
 
 @pytest.fixture
@@ -144,7 +146,7 @@ class TestRejectedBeforeSolving:
         def no_solve(*args, **kwargs):
             raise AssertionError("solved before validating")
 
-        monkeypatch.setattr(cli, "solve_backward", no_solve)
+        monkeypatch.setattr(moments, "solve_backward", no_solve)
         out = tmp_path / "out"
         args = [command, "--scenario", scenario_file, "--dt", "0.005", "--seed", "1",
                 "--out", str(out), "--grid", "512"]
@@ -163,7 +165,7 @@ class TestRejectedBeforeSolving:
             calls.append(N)
             return solve_backward(spec, N, *args, **kwargs)
 
-        for module in (cli, charfun, hjb, moments):
+        for module in (hjb, moments):
             monkeypatch.setattr(module, "solve_backward", counting)
         out = tmp_path / "out"
         args = [command, "--scenario", scenario_file, "--quad", "3", "--grid", "512",
@@ -181,7 +183,7 @@ class TestCompare:
             calls.append(N)
             return solve_backward(spec, N, *args, **kwargs)
 
-        for module in (cli, charfun, hjb, moments):
+        for module in (hjb, moments):
             monkeypatch.setattr(module, "solve_backward", counting)
         main(["compare", "--scenario", scenario_file, "--paths", "1000", "--dt", "0.01",
               "--seed", "2", "--times", "1.0", "--grid", "512", "--quad", "128",
@@ -220,6 +222,37 @@ class TestCompare:
               "--quad", "128", "--out", str(out)])
         report = json.loads((out / "report.json").read_text())
         assert report["dt_refinement"] is not None
+
+
+class TestMeanFieldScenario:
+    """Every command solves a mean-field scenario through the fixed point, as solve does."""
+
+    def test_simulate_and_compare_exit_zero(self, tmp_path):
+        f = tmp_path / "mf.json"
+        f.write_text(json.dumps(MEAN_FIELD))
+        common = ["--scenario", str(f), "--seed", "5", "--grid", "512"]
+        assert main(["simulate", *common, "--paths", "2000", "--dt", "0.01", "--times", "0.5,1.0",
+                     "--out", str(tmp_path / "sim")]) == 0
+        out = tmp_path / "cmp"
+        assert main(["compare", *common, "--paths", "4000", "--dt", "0.005", "--quad", "128",
+                     "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["passed"] and report["max_abs_z"] <= 4
+
+    @pytest.mark.parametrize("jumps", [{}, {"lambda": 1.0, "jump": {"type": "point", "params": {"z0": 0.5}}}],
+                             ids=["no-jumps", "point-jumps"])
+    def test_density_mean_is_the_solved_expectation(self, tmp_path, jumps):
+        f = tmp_path / "mf.json"
+        f.write_text(json.dumps(dict(MEAN_FIELD, **jumps)))
+        main(["solve", "--scenario", str(f), "--out", str(tmp_path / "solve"), "--grid", "512"])
+        path = moments_from_csv((tmp_path / "solve" / "moments.csv").read_text())
+        out = tmp_path / "density"
+        assert main(["density", "--scenario", str(f), "--times", "0.5,1.0", "--out", str(out),
+                     "--grid", "512", "--xgrid", "1024", "--quad", "128"]) == 0
+        for t, k in ((0.5, 256), (1.0, 512)):
+            grid = charfun.DensityGrid.from_csv((out / f"density_t{t:.6f}.csv").read_text())
+            assert path.t[k] == t
+            assert abs(grid.mean - path.E[k, 0]) < 1e-8
 
 
 class TestRecover:

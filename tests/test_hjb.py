@@ -16,9 +16,10 @@ from mfg_moments import (
     hjb_to_csv,
     scenario_from_dict,
     solve_backward,
+    solve_meanfield_fixedpoint,
     weight,
 )
-from mfg_moments import hjb, model, moments, propagate_moments
+from mfg_moments import hjb, model, propagate_moments
 from mfg_moments.hermite import Hermite
 
 from conftest import make_doc, make_spec
@@ -260,9 +261,9 @@ class TestCoefficientCallables:
                 return call
             return make
 
-        for module in (hjb, moments):
-            monkeypatch.setattr(module, "scalar_fn", counted(model.scalar_fn))
-            monkeypatch.setattr(module, "vector_fn", counted(model.vector_fn))
+        # propagation and its residual check call the callables the solve stored
+        monkeypatch.setattr(hjb, "scalar_fn", counted(model.scalar_fn))
+        monkeypatch.setattr(hjb, "vector_fn", counted(model.vector_fn))
         spec = scenario_from_dict(POLY_UNIFORM)
         propagate_moments(solve_backward(spec, 1024), spec)
         # a, b, c for the backward solve; a, b for propagation and its residual check
@@ -333,6 +334,15 @@ class TestCheckConditions:
         assert rep.singular_times == ()
         # e^{2 int A} = 1/cos(2T) here
         assert rep.a_int_first_value == pytest.approx(1.0 / math.cos(math.pi / 4), rel=1e-8)
+
+    def test_meanfield_solution_is_refined_with_its_own_coupling(self):
+        spec = make_spec(a=0.2, meanfield={"b0": 0.2, "b1": 0.3, "b2": 0}, A_T=-0.1, B_T=0.1,
+                         delta=0.4, x0=1.0)
+        sol = solve_meanfield_fixedpoint(spec, N=512).sol
+        rep = check_conditions(sol, spec)
+        assert rep.a_int_first_finite and rep.a_int_second_finite
+        ref = check_conditions(solve_backward(spec, 512, b_override=sol.b_fn), spec)
+        assert rep.a_int_second_value == ref.a_int_second_value
 
     def test_long_horizon_detects_singularities(self):
         spec = make_spec(a=2.0, b=0.3, B_T=1.0, A_T=0.0, T=math.pi)

@@ -18,9 +18,11 @@ from mfg_moments import (
     solve_backward,
     solve_meanfield_fixedpoint,
 )
+from mfg_moments.hjb import hjb_from_csv, hjb_to_csv
+from mfg_moments.model import scenario_from_dict, vector_fn
 from mfg_moments.moments import _validate_closed_form, variance_rate
 
-from conftest import make_spec
+from conftest import make_doc, make_spec
 
 
 def solve_and_propagate(spec, N=1024, **kwargs):
@@ -91,6 +93,28 @@ class TestPropagation:
         with pytest.raises(SingularityError, match="A_int"):
             propagate_moments(sol, spec)
 
+    def test_coefficients_come_from_the_solution(self):
+        # the same b passed as an override is the same solve and the same propagation
+        doc = make_doc(a={"poly": [-0.1, 0.15]}, b={"poly": [0.2, -0.1, 0.05]}, A_T=-0.1,
+                       delta=0.5, lam=1.2, jump={"type": "uniform", "params": {"lo": -0.3, "hi": 0.5}},
+                       x0=0.4, v0=0.2)
+        spec = scenario_from_dict(doc)
+        plain = propagate_moments(solve_backward(spec, 1024), spec)
+        overridden = solve_backward(spec, 1024, b_override=vector_fn(spec.cost.b, spec.n))
+        again = propagate_moments(overridden, spec)
+        for name in ("E", "E_prime", "E_second", "V", "V_prime"):
+            assert np.array_equal(getattr(plain, name), getattr(again, name)), name
+        assert (plain.residual_E, plain.residual_V) == (again.residual_E, again.residual_V)
+
+    @pytest.mark.parametrize("meanfield_spec", [False, True])
+    def test_solution_without_coefficients_is_a_scenario_error(self, meanfield_spec):
+        # the CSV holds no coefficients, and a mean-field spec fixes no b
+        spec = make_spec(a=0.5, b=0.2, delta=0.3, x0=1.0)
+        mf_spec = make_spec(a=0.5, meanfield={"b0": 0.2, "b1": 0, "b2": 0}, delta=0.3, x0=1.0)
+        again = hjb_from_csv(hjb_to_csv(solve_backward(spec, 256)), mf_spec if meanfield_spec else None)
+        with pytest.raises(ScenarioError, match="carries no coefficients"):
+            propagate_moments(again, spec)
+
     def test_literal_mode_drops_flow_propagation(self, constant_A_spec):
         sol = solve_backward(constant_A_spec, N=1024)
         lit = propagate_moments(sol, constant_A_spec, literal_init=True)
@@ -125,7 +149,7 @@ class TestResidualCheck:
     def test_clean_path_residuals_small(self):
         spec = make_spec(a=-2.0, A_T=1.0, x0=1.0, v0=1.0)
         sol, path = solve_and_propagate(spec, N=4096)
-        rep = residual_check(path, spec)
+        rep = residual_check(path, sol)
         assert rep.rE < 1e-6
         assert rep.rV is not None and rep.rV < 1e-6
 
@@ -135,20 +159,20 @@ class TestResidualCheck:
         spec = make_spec(a=1.0, A_T=-0.5, b=0.3, x0=1.0, delta=0.5)
         sol, path = solve_and_propagate(spec, N=65536)
         assert path.residual_E <= 1e-8
-        wrong_b = residual_check(path, spec, b_override=lambda t: 0.3 + 1e-5)
+        wrong_b = residual_check(path, solve_backward(spec, 65536, b_override=lambda t: 0.3 + 1e-5))
         assert wrong_b.rE == pytest.approx(1e-5, rel=1e-2)
 
     def test_corrupted_variance_detected(self, brownian_spec):
         # scaling V perturbs the (Var) residual by ~0.1 K^2/V, so K > 0 here
         sol, path = solve_and_propagate(brownian_spec, N=1024)
         path.V = 1.1 * path.V
-        rep = residual_check(path, brownian_spec)
+        rep = residual_check(path, sol)
         assert rep.rV is not None and rep.rV > 1e-2
 
     def test_near_zero_variance_skipped(self):
         spec = make_spec(x0=0.5)  # no noise at all: V stays 0
-        _, path = solve_and_propagate(spec)
-        rep = residual_check(path, spec)
+        sol, path = solve_and_propagate(spec)
+        rep = residual_check(path, sol)
         assert rep.rV is None
         assert "near zero" in rep.note
 

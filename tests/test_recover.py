@@ -16,6 +16,7 @@ from mfg_moments import (
     series_from_csv,
     series_to_csv,
 )
+from mfg_moments import recover
 from mfg_moments.recover import _BRENT_TOL, _brent
 
 
@@ -187,6 +188,35 @@ class TestProfiledSearch:
         t = np.linspace(0, 3, 40)
         params = fit_parameters(ObservedSeries(t=t, E=shape(t), V=np.ones(40)), branch=branch)
         assert params.rms_residual_E < 1e-6
+
+    @pytest.fixture
+    def count_fits(self, monkeypatch):
+        calls = []
+        profiled = recover._profiled_fit
+
+        def counted(*args):
+            calls.append(args[0])
+            return profiled(*args)
+
+        monkeypatch.setattr(recover, "_profiled_fit", counted)
+        return calls
+
+    def test_classified_fit_is_not_searched_again(self, count_fits):
+        series = synthetic(1.0, 0.5, 0.3, np.linspace(0, 5, 50))
+        classify_branch(series)
+        n_classify = len(count_fits)
+        count_fits.clear()
+        params = fit_parameters(series)
+        assert len(count_fits) == n_classify
+        assert abs(params.a - 1.0) < 1e-6 and abs(params.b[0] - 0.5) < 1e-6
+
+    @pytest.mark.parametrize("branch", ["oscillatory", "exponential"])
+    def test_exact_fits_tie_instead_of_each_being_refined(self, count_fits, branch):
+        # every nu fits a constant exactly, so the profiled residual is rounding noise
+        t = np.linspace(0, 3, 40)
+        params = fit_parameters(ObservedSeries(t=t, E=np.full(40, 2.5), V=np.ones(40)), branch=branch)
+        assert params.rms_residual_E < 1e-6
+        assert len(count_fits) <= 300
 
     def test_failure_names_the_search_and_its_interval(self):
         # Samples 4000 apart put the Nyquist frequency below the search floor.
