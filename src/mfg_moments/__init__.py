@@ -62,6 +62,7 @@ from .moments import (
     residual_check,
     solve_meanfield_fixedpoint,
     solve_scenario,
+    solve_scenario_backward,
 )
 from .recover import (
     FitDiagnostics,

@@ -28,6 +28,15 @@ integrates only the lambda Q term.  Since Re(p_hat - 1) <= 0 and
 
 and frequencies where that exponent is below -800 (exp underflows to
 exactly 0.0 below about -745) are left at zero without being evaluated.
+A real law has m_hat(t, -w) = conj m_hat(t, w), and the moment form
+evaluated at -w is the conjugate of its value at w to the bit (a
+standing test), so only the non-negative half of the spectrum is
+evaluated and the rest is its conjugate.
+
+The eta-quadrature is composite Simpson doubled from M nodes until two
+levels agree.  The nodes of level M are every other node of level 2M,
+bit for bit, so a doubling evaluates the integrand only at the M new
+ones and reuses the rest.
 
 E(t) and V(t) between grid nodes come from the fundamental moment path's
 cubic Hermite interpolants (slopes E' and V', see ``moments``), and the
@@ -44,7 +53,7 @@ import numpy as np
 from .errors import ConvergenceError, GridResolutionError, ScenarioError, SingularityError
 from .hjb import HjbSolution
 from .model import InitialLaw, ScenarioSpec, jump_charfn_batch, jump_moments, jump_second_moment_matrix
-from .moments import MomentPath, propagate_moments, solve_scenario
+from .moments import MomentPath, propagate_moments, solve_scenario_backward
 
 _MAX_QUAD_NODES = 1 << 16
 # Log-modulus bound below which a density frequency is not evaluated: exp()
@@ -115,9 +124,10 @@ class CharFunEvaluator:
     (started from a Dirac mass at the origin) and the starting
     eta-quadrature resolution M.  Evaluations double M until two
     successive composite Simpson values agree to 1e-6 and fail if that
-    never happens.  Densities use the moment form, whose only quadrature
-    is the lambda Q term, and skip the frequencies whose modulus bound
-    underflows (see the module docstring).
+    never happens; each doubling evaluates only the new nodes.  Densities
+    use the moment form, whose only quadrature is the lambda Q term, on
+    the non-negative frequencies whose modulus bound does not underflow
+    (see the module docstring).
     """
 
     def __init__(self, spec: ScenarioSpec, sol: HjbSolution, fundamental: MomentPath, M: int = 512):
@@ -141,8 +151,8 @@ class CharFunEvaluator:
 
     @classmethod
     def from_scenario(cls, spec: ScenarioSpec, N: int = 4096, M: int = 512) -> "CharFunEvaluator":
-        """Evaluator on ``solve_scenario``'s solution, the fixed point's for a mean-field b."""
-        return cls.from_solution(spec, solve_scenario(spec, N)[0], M=M)
+        """Evaluator on ``solve_scenario_backward``'s solution, the fixed point's for a mean-field b."""
+        return cls.from_solution(spec, solve_scenario_backward(spec, N), M=M)
 
     @classmethod
     def from_solution(
@@ -180,19 +190,29 @@ class CharFunEvaluator:
 
         The whole omega batch shares one quadrature resolution, which keeps
         the quadrature error smooth in omega (finite-difference moment
-        extraction relies on that).
+        extraction relies on that).  `integrand` maps nodes of shape (K,)
+        to values of shape (len(omegas), K), node by node: level M's values
+        are kept, a doubling evaluates it at the M new odd nodes only, and
+        each sum is the same as a from-scratch composite Simpson at 2M.
         """
         if t == 0.0:
             return np.zeros(omegas.shape[0], complex)
         M = self.M
-        prev = None
+        f = prev = None
         while M <= _MAX_QUAD_NODES:
-            eta = np.linspace(0.0, t, M + 1)
+            if f is None:
+                f = integrand(np.linspace(0.0, t, M + 1))
+            else:
+                # linspace(0, t, M+1)[::2] is bit-identical to the previous
+                # level's nodes, so only the M/2 new odd nodes are evaluated.
+                f_old, f = f, np.empty((f.shape[0], M + 1), complex)
+                f[:, ::2] = f_old
+                f[:, 1::2] = integrand(np.linspace(0.0, t, M + 1)[1::2])
             wts = np.ones(M + 1)
             wts[1:-1:2] = 4.0
             wts[2:-1:2] = 2.0
             wts *= (t / M) / 3.0
-            val = integrand(eta) @ wts
+            val = f @ wts
             if prev is not None and float(np.max(np.abs(val - prev))) <= 1e-6:
                 return val
             prev = val
@@ -308,7 +328,11 @@ class CharFunEvaluator:
         for lambda = 0, otherwise the lambda Q term by Simpson doubling
         from M in chunks of 512 frequencies.  Frequencies whose
         ``log_modulus_bound`` is below -800 stay exactly 0.0 and are not
-        evaluated; every other one is.
+        evaluated.  Of the others only the non-negative ones (and the
+        Nyquist frequency of an even n_x) are; each negative one is the
+        conjugate of its partner.  Non-finite bounds raise
+        ``ScenarioError``, a mass that is not within 1e-3 of 1 (NaN
+        included) ``GridResolutionError``.
         """
         if self.spec.n != 1:
             raise ScenarioError("density inversion supports dimension 1 only")
@@ -323,6 +347,8 @@ class CharFunEvaluator:
             x_lo = mean - 10.0 * sd
         if x_hi is None:
             x_hi = mean + 10.0 * sd
+        if not (math.isfinite(x_lo) and math.isfinite(x_hi)):
+            raise ScenarioError(f"density grid bounds must be finite, got [{x_lo}, {x_hi}]")
         if x_lo > mean - 8.0 * sd or x_hi < mean + 8.0 * sd:
             raise GridResolutionError("density grid bounds must cover mean +- 8 sigma")
 
@@ -330,15 +356,20 @@ class CharFunEvaluator:
         dx = x[1] - x[0]
         omega = 2.0 * math.pi * np.fft.fftfreq(n_x, d=dx)
         keep = np.flatnonzero(self.log_modulus_bound(t, omega) > _LOG_UNDERFLOW)
+        # m_hat(t, -w) = conj m_hat(t, w) for a real law: evaluate indices up to
+        # n_x // 2 (on an even grid the last is the Nyquist frequency, its own
+        # partner) and fill index j > n_x // 2 from its partner n_x - j.
+        half, mirror = keep[keep <= n_x // 2], keep[keep > n_x // 2]
         mhat = np.zeros(n_x, complex)
-        for start in range(0, keep.size, 512):
-            chunk = keep[start : start + 512]
+        for start in range(0, half.size, 512):
+            chunk = half[start : start + 512]
             mhat[chunk] = self.eval_charfun_via_moments(t, omega[chunk])
-        mhat[keep] *= self._initial_factor(t, omega[keep, None], initial)
+        mhat[half] *= self._initial_factor(t, omega[half, None], initial)
+        mhat[mirror] = np.conj(mhat[n_x - mirror])
         m = np.fft.ifft(mhat * np.exp(1j * omega * x_lo)).real / dx
 
         mass = float(np.trapezoid(m, x))
-        if abs(mass - 1.0) > 1e-3:
+        if not abs(mass - 1.0) <= 1e-3:
             raise GridResolutionError(f"grid under-resolved: density mass {mass:.6f}")
         mean_out = float(np.trapezoid(x * m, x))
         var_out = float(np.trapezoid((x - mean_out) ** 2 * m, x))

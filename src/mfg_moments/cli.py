@@ -25,7 +25,7 @@ from .errors import NumericsError, ScenarioError
 from .hjb import hjb_to_csv
 from .mc import SimConfig, compare_report, endpoints_to_csv, sim_to_csv, simulate_paths
 from .model import parse_scenario, serialize_scenario
-from .moments import moments_to_csv, solve_scenario
+from .moments import moments_to_csv, solve_scenario, solve_scenario_backward
 from .recover import evaluate_fit, fit_parameters, series_from_csv
 
 _EXIT_OK = 0
@@ -137,7 +137,7 @@ def _cmd_simulate(args) -> int:
         keep_endpoints=args.dump_endpoints,
     )
     cfg.validate(spec)
-    sol, _ = solve_scenario(spec, args.grid)
+    sol = solve_scenario_backward(spec, args.grid)
     result = simulate_paths(spec, sol, cfg)
     out = _OutputWriter(args.out)
     out.write("sim.csv", sim_to_csv(result))

@@ -11,7 +11,8 @@ first-order relations ``E' = 2 A E + B + lambda M1`` and ``V' = 4 A V + K``
 wherever A is finite.  The E columns and psi are advanced together by
 ``ode.rk4_linear``, and the second-order residuals are checked on every
 propagation; a(t) and b(t) are the ones the backward solution was solved with.
-``solve_scenario`` picks the mean-field fixed point or a single solve.
+``solve_scenario`` picks the mean-field fixed point or a single solve;
+``solve_scenario_backward`` is the same choice for a caller that needs no moment path.
 
 Off-grid values come from cubic Hermite interpolants (``hermite``) built
 from the derivatives the propagation already has: E from E', E' from
@@ -449,13 +450,23 @@ def solve_meanfield_fixedpoint(
     return MeanFieldSolution(sol=sol, path=path, iterations=iteration, residual=residual)
 
 
-def solve_scenario(spec: ScenarioSpec, N: int = 4096) -> tuple[HjbSolution, MomentPath]:
-    """(sol, path) of any scenario: the fixed point for a mean-field b, one solve for any other."""
+def _solve(spec: ScenarioSpec, N: int) -> tuple[HjbSolution, MomentPath | None]:
+    """The fixed point's (sol, path) for a mean-field b; one solve and no path for any other."""
     if spec.cost.b.kind == "meanfield":
         mf = solve_meanfield_fixedpoint(spec, N=N)
         return mf.sol, mf.path
-    sol = solve_backward(spec, N)
-    return sol, propagate_moments(sol, spec)
+    return solve_backward(spec, N), None
+
+
+def solve_scenario(spec: ScenarioSpec, N: int = 4096) -> tuple[HjbSolution, MomentPath]:
+    """(sol, path) of any scenario: the fixed point for a mean-field b, one solve for any other."""
+    sol, path = _solve(spec, N)
+    return sol, propagate_moments(sol, spec) if path is None else path
+
+
+def solve_scenario_backward(spec: ScenarioSpec, N: int = 4096) -> HjbSolution:
+    """``solve_scenario``'s backward solution alone: an explicit b propagates no moment path."""
+    return _solve(spec, N)[0]
 
 
 def moments_to_csv(path: MomentPath) -> str:

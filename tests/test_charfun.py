@@ -160,6 +160,20 @@ class TestDensityInversion:
         with pytest.raises(GridResolutionError, match="8 sigma"):
             ev.invert_density(1.0, x_lo=-2.0, x_hi=2.0)
 
+    @pytest.mark.parametrize("bound", [{"x_lo": math.nan}, {"x_lo": -math.inf},
+                                       {"x_hi": math.nan}, {"x_hi": math.inf}])
+    def test_non_finite_bound_rejected(self, brownian_spec, bound):
+        ev = evaluator(brownian_spec)
+        with pytest.raises(ScenarioError, match="finite"):
+            ev.invert_density(1.0, n_x=256, **bound)
+
+    def test_nan_mass_is_rejected(self):
+        # sd ~ 1e-50 around x0 = 0.2 is below the spacing of floats there, so
+        # dx = 0 and the mass is NaN
+        ev = evaluator(make_spec(delta=1.0, x0=0.2))
+        with pytest.raises(GridResolutionError, match="mass nan"):
+            ev.invert_density(1e-100, n_x=64)
+
     def test_too_few_grid_points_rejected(self, brownian_spec):
         ev = evaluator(brownian_spec)
         for n_x in (0, 1):
@@ -218,6 +232,55 @@ class TestMomentFormInversion:
         ev = evaluator(pure_jump_spec)
         assert np.all(ev.log_modulus_bound(1.0, np.linspace(-1e4, 1e4, 9)) == 0.0)
 
+    def test_doublings_evaluate_each_node_once(self, brownian_spec):
+        ev = evaluator(brownian_spec, M=8)
+        t, k = 0.75, np.array([20.0, 35.0])
+        seen = []
+
+        def wave(eta):
+            return np.exp(1j * k[:, None] * eta[None, :])
+
+        def recording(eta):
+            seen.append(eta)
+            return wave(eta)
+
+        val = ev._simpson_batch(t, k, recording)
+        nodes = np.concatenate(seen)
+        M = nodes.size - 1
+        assert len(seen) >= 4 and M == 8 * 2 ** (len(seen) - 1)
+        # M + 1 distinct nodes in M + 1 evaluations: each node exactly once
+        assert np.array_equal(np.sort(nodes), np.linspace(0.0, t, M + 1))
+        wts = np.ones(M + 1)
+        wts[1:-1:2] = 4.0
+        wts[2:-1:2] = 2.0
+        wts *= (t / M) / 3.0
+        assert np.array_equal(val, wave(np.linspace(0.0, t, M + 1)) @ wts)
+
+    @pytest.mark.parametrize("n_x", [256, 255, 2048])
+    def test_only_the_non_negative_half_is_evaluated(self, monkeypatch, n_x):
+        ev = evaluator(make_spec(**self.DESIGNS["point-heavy"]), N=1024, M=128)
+        calls = []
+        moment_form = ev.eval_charfun_via_moments
+
+        def recording(t, omega):
+            calls.append(np.array(omega))
+            return moment_form(t, omega)
+
+        monkeypatch.setattr(ev, "eval_charfun_via_moments", recording)
+        grid = ev.invert_density(1.0, n_x=n_x)
+        omega = 2.0 * math.pi * np.fft.fftfreq(n_x, d=grid.x[1] - grid.x[0])
+        keep = np.flatnonzero(ev.log_modulus_bound(1.0, omega) > _LOG_UNDERFLOW)
+        half = keep[keep <= n_x // 2]
+        seen = np.concatenate(calls)
+        assert len(calls) == -(-half.size // 512)
+        assert np.array_equal(seen, omega[half])
+        negative = seen[seen < 0.0]
+        if n_x == 2048:
+            assert keep.size < n_x and negative.size == 0
+        else:  # every frequency is kept; an even grid evaluates its Nyquist frequency
+            assert keep.size == n_x
+            assert np.array_equal(negative, omega[n_x // 2 : n_x // 2 + 1 - n_x % 2])
+
 
 _JUMPS = st.one_of(
     st.builds(lambda z0: {"type": "point", "params": {"z0": z0}}, st.floats(-1.0, 1.0)),
@@ -231,9 +294,9 @@ _JUMPS = st.one_of(
 
 
 @st.composite
-def _focal_free_scenarios(draw, jumps=True):
+def _focal_free_scenarios(draw, lams=(0.0, 0.5, 2.0)):
     """1-D scenarios with a <= 1/2, A_T <= 0.1 and T <= 1, so u has no zero on [0, T]."""
-    lam = draw(st.sampled_from([0.0, 0.5, 2.0])) if jumps else 0.0
+    lam = draw(st.sampled_from(lams))
     return make_spec(
         a=draw(st.floats(-1.0, 0.5)), b=draw(st.floats(-0.5, 0.5)),
         A_T=draw(st.floats(-0.3, 0.1)), B_T=draw(st.floats(-0.3, 0.3)),
@@ -269,10 +332,34 @@ class TestCharfunProperties:
         assert np.all(np.abs(phi) <= np.exp(ev.log_modulus_bound(t, w) + 1e-6))
 
     @settings(max_examples=15, deadline=None)
-    @given(spec=_focal_free_scenarios(jumps=False), frac=st.floats(0.1, 1.0))
+    @given(spec=_focal_free_scenarios(lams=(0.0,)), frac=st.floats(0.1, 1.0))
     def test_diffusion_density_has_unit_mass(self, spec, frac):
         grid = evaluator(spec, N=512).invert_density(frac * spec.T, n_x=1024)
         assert abs(grid.mass - 1.0) < 1e-6
+
+    @settings(max_examples=25, deadline=None)
+    @given(spec=_focal_free_scenarios(lams=(0.5, 2.0)),
+           frac=st.floats(1e-3, 1.0), n_x=st.integers(64, 4096))
+    def test_half_spectrum_density_is_bit_identical_to_the_full_band(self, spec, frac, n_x):
+        ev = evaluator(spec, N=512, M=64)
+        t = frac * spec.T
+        grid = ev.invert_density(t, n_x=n_x)
+        omega = 2.0 * math.pi * np.fft.fftfreq(n_x, d=grid.x[1] - grid.x[0])
+        keep = np.flatnonzero(ev.log_modulus_bound(t, omega) > _LOG_UNDERFLOW)
+        half = keep[keep <= n_x // 2]
+        mhat = np.zeros(n_x, complex)
+        # Every kept frequency is evaluated, not mirrored.  A chunk of 512
+        # indices up to n_x // 2 is evaluated in one batch with its negation,
+        # so both signs stop at the Simpson level the chunk alone reaches;
+        # indices that are their own partner (0, Nyquist) keep the + value.
+        for start in range(0, half.size, 512):
+            chunk = half[start : start + 512]
+            both = ev.eval_charfun_via_moments(t, np.concatenate([omega[chunk], -omega[chunk]]))
+            mhat[(n_x - chunk) % n_x] = both[chunk.size :]
+            mhat[chunk] = both[: chunk.size]
+        mhat[keep] *= ev._initial_factor(t, omega[keep, None], None)
+        ref = np.fft.ifft(mhat * np.exp(1j * omega * grid.x[0])).real / (grid.x[1] - grid.x[0])
+        assert np.array_equal(grid.m, ref)
 
 
 class TestMomentExtraction:

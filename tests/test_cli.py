@@ -6,7 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mfg_moments import charfun, closed_form_moments_const, hjb, moments, solve_backward
+from mfg_moments import (
+    InitialLaw, charfun, cli, closed_form_moments_const, hjb, moments, propagate_moments,
+    solve_backward,
+)
 from mfg_moments.cli import main
 from mfg_moments.hjb import hjb_from_csv
 from mfg_moments.moments import moments_from_csv
@@ -173,6 +176,29 @@ class TestRejectedBeforeSolving:
         assert main(args + extra) == 1
         assert calls == []
         assert not out.exists()
+
+
+class TestPropagation:
+    @pytest.mark.parametrize("command,extra,paths", [
+        ("simulate", ["--paths", "1000", "--dt", "0.01", "--seed", "1"], 0),
+        ("density", ["--times", "0.5", "--xgrid", "1024", "--quad", "128"], 1),
+    ])
+    def test_propagates_only_the_paths_it_uses(self, tmp_path, monkeypatch, command, extra, paths):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(dict(PURE_JUMP, initial={"kind": "dirac", "x0": 0.5})))
+        calls = []
+
+        def counting(sol, spec, *args, **kwargs):
+            calls.append(spec.initial)
+            return propagate_moments(sol, spec, *args, **kwargs)
+
+        for module in (moments, charfun):
+            monkeypatch.setattr(module, "propagate_moments", counting)
+        args = [command, "--scenario", str(scenario), "--grid", "512", "--out", str(tmp_path / "o")]
+        assert main(args + extra) == 0
+        # density's one path is the fundamental one, started from a Dirac mass at 0
+        assert calls == [InitialLaw(kind="dirac", x0=(0.0,), v0=0.0)] * paths
+        assert not hasattr(cli, "propagate_moments") and not hasattr(cli, "solve_backward")
 
 
 class TestCompare:
