@@ -331,8 +331,9 @@ class CharFunEvaluator:
         evaluated.  Of the others only the non-negative ones (and the
         Nyquist frequency of an even n_x) are; each negative one is the
         conjugate of its partner.  Non-finite bounds raise
-        ``ScenarioError``, a mass that is not within 1e-3 of 1 (NaN
-        included) ``GridResolutionError``.
+        ``ScenarioError``; a grid frequency whose square overflows, or a
+        mass that is not within 1e-3 of 1 (NaN included),
+        ``GridResolutionError``.
         """
         if self.spec.n != 1:
             raise ScenarioError("density inversion supports dimension 1 only")
@@ -355,7 +356,13 @@ class CharFunEvaluator:
         x = np.linspace(x_lo, x_hi, n_x, endpoint=False)
         dx = x[1] - x[0]
         omega = 2.0 * math.pi * np.fft.fftfreq(n_x, d=dx)
-        keep = np.flatnonzero(self.log_modulus_bound(t, omega) > _LOG_UNDERFLOW)
+        # A subnormal t gives finite frequencies whose squares overflow; a zero
+        # spacing gives non-finite ones, which the mass check below rejects.
+        w_max = float(np.max(np.abs(omega)))
+        if math.isfinite(w_max) and not math.isfinite(w_max * w_max):
+            raise GridResolutionError(f"density grid at t={t:.6g} is too narrow: its largest "
+                                      f"frequency {w_max:.6g} squared overflows")
+        keep =np.flatnonzero(self.log_modulus_bound(t, omega) > _LOG_UNDERFLOW)
         # m_hat(t, -w) = conj m_hat(t, w) for a real law: evaluate indices up to
         # n_x // 2 (on an even grid the last is the Nyquist frequency, its own
         # partner) and fill index j > n_x // 2 from its partner n_x - j.

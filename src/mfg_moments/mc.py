@@ -2,8 +2,12 @@
 
 Euler-Maruyama with drift 2 A(t) x + B(t) (linearly interpolated from the
 backward solution grid), Gaussian diffusion and compound Poisson jumps.
-Each step is the affine map X <- (1 + 2 A dt) X + B dt + delta sqrt(dt) xi
-+ J, where J is the sum of the jumps that arrive in that step.
+Each step is the affine map X <- g_k X + d_k + delta sqrt(dt) xi_k + J_k,
+with g_k = 1 + 2 A_k dt, d_k = B_k dt and J_k the sum of the jumps that
+arrive in step k.  So the chain at the next record step is an affine map
+of its value at the last one plus one Gaussian and the arrived jumps, each
+weighted by the gains after it (``_interval_maps``): the chain is sampled
+exactly at the record steps, at O(record times + jumps) cost per path.
 
 Paths are split into fixed blocks of ``_BLOCK`` paths, and block ``b``
 draws from its own counter-based stream, ``Philox(SeedSequence(seed,
@@ -17,9 +21,9 @@ which they run.  Per block, the draw order is:
    count, a Poisson process has i.i.d. uniform arrival times, so this has
    the law of one Poisson count per step at O(lambda T) cost;
 4. all jump sizes, in one ``sample_jumps`` call, in path order;
-5. the diffusion normals, step-major: (steps, paths, n) chunks of at most
-   ``_CHUNK_BYTES``.  Successive draws read one stream in order, so the
-   chunk size does not change the numbers.
+5. the diffusion normals, one (paths, n) draw per record interval, in
+   time order (none when delta = 0), so the order of the record times
+   does not change the numbers.
 """
 
 from __future__ import annotations
@@ -36,7 +40,6 @@ from .hjb import HjbSolution
 from .model import ScenarioSpec, sample_jumps
 
 _BLOCK = 4096
-_CHUNK_BYTES = 1 << 22
 
 
 def worker_count() -> int:
@@ -65,6 +68,8 @@ class SimConfig:
             raise ScenarioError("n_paths must be >= 1000")
         if not 0 < self.dt <= spec.T / 100:
             raise ScenarioError("dt must be positive and at most T/100")
+        if spec.lam * self.dt > 0.5:
+            raise ScenarioError("reduce dt: lambda*dt must be <= 0.5")
         if len(set(self.record_times)) != len(self.record_times):
             raise ScenarioError("record times must be distinct")
         for tr in self.record_times:
@@ -95,61 +100,66 @@ class SimResult:
         raise ScenarioError(f"time {t} is not a record time")
 
 
-def _simulate_block(spec, cfg, block, out, gain, drift, rec_idx):
-    """Simulate block ``block`` into ``out`` (paths, R, n); return its per-step jump counts."""
+def _interval_maps(gain, drift, noise, ends):
+    """The chain's exact law from each record step to the next (``ends`` increasing).
+
+    Over steps [r0, r1), X_r1 = scale X_r0 + shift + spread xi plus the sum
+    of coef_k Z over the jumps Z arriving in steps k, where coef_k is the
+    product of g_j over k < j < r1.  Returns each interval's (scale, shift,
+    spread) and coef.
+    """
+    coef = np.ones(len(gain))
+    maps = []
+    for r0, r1 in zip([0, *ends], ends):
+        c = coef[r0:r1]
+        c[:-1] = np.cumprod(gain[r0 + 1 : r1][::-1])[::-1]
+        maps.append((gain[r0] * c[0], c @ drift[r0:r1], noise * math.sqrt(c @ c)))
+    return maps, coef
+
+
+def _simulate_block(spec, cfg, block, out, rec, ends, chain):
+    """Simulate block ``block`` into ``out`` (paths, R, n); return its jump count per interval."""
     n = spec.n
     count = len(out)
-    n_steps = len(gain)
+    maps, coef = chain
+    n_steps = len(coef)
     gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(cfg.seed, spawn_key=(block,))))
 
     X = np.tile(np.asarray(spec.initial.x0, float), (count, 1))
     if spec.initial.kind == "gaussian":
         X += math.sqrt(spec.initial.v0) * gen.standard_normal((count, n))
+    jumps = np.zeros((count, len(ends), n))
+    interval = np.zeros(0, np.intp)
     if spec.lam > 0 and n_steps:
         per_path = gen.poisson(spec.lam * n_steps * cfg.dt, count)
         steps = gen.integers(0, n_steps, int(per_path.sum()))
         sizes = sample_jumps(spec.jump, gen, len(steps))
-        order = np.argsort(steps, kind="stable")
-        steps, sizes = steps[order], sizes[order]
-        paths = np.repeat(np.arange(count), per_path)[order]
-    else:
-        steps, sizes, paths = np.zeros(0, np.int64), np.zeros((0, n)), np.zeros(0, np.int64)
+        # each jump, carried to the end of the record interval it arrives in
+        interval = np.searchsorted(ends, steps, side="right")
+        np.add.at(jumps, (np.repeat(np.arange(count), per_path), interval), coef[steps, None] * sizes)
 
-    rec_at = {k: i for i, k in enumerate(rec_idx)}
-    if 0 in rec_at:
-        out[:, rec_at[0]] = X
-    noise = spec.delta * math.sqrt(cfg.dt)
-    chunk = max(1, _CHUNK_BYTES // (8 * count * n))
-    buf = np.empty((min(chunk, n_steps), count, n))
-    for k0 in range(0, n_steps, chunk):
-        W = buf[: min(chunk, n_steps - k0)]
-        if noise > 0:
-            gen.standard_normal(out=W)
-            W *= noise
-        else:
-            W.fill(0.0)
-        W += drift[k0 : k0 + len(W), None, :]
-        j0, j1 = np.searchsorted(steps, (k0, k0 + len(W)))
-        np.add.at(W, (steps[j0:j1] - k0, paths[j0:j1]), sizes[j0:j1])
-        for j, w in enumerate(W, start=k0):
-            X *= gain[j]
-            X += w
-            if j + 1 in rec_at:
-                out[:, rec_at[j + 1]] = X
-    return np.bincount(steps, minlength=n_steps)
+    out[:, rec == 0] = X[:, None]
+    for m, (end, (scale, shift, spread)) in enumerate(zip(ends, maps)):
+        X *= scale
+        X += shift
+        if spread > 0:
+            X += spread * gen.standard_normal((count, n))
+        X += jumps[:, m]
+        out[:, rec == end] = X[:, None]
+    return np.bincount(interval, minlength=len(ends))
 
 
 def simulate_paths(spec: ScenarioSpec, sol: HjbSolution, cfg: SimConfig) -> SimResult:
     """Simulate and estimate moments at the configured record times."""
     cfg.validate(spec)
-    if spec.lam * cfg.dt > 0.5:
-        raise ScenarioError("reduce dt: lambda*dt must be <= 0.5")
     t_max = max(cfg.record_times, default=0.0)
     if sol.is_singular_on(t_max):
         bad = min(s for s in sol.singular_times if s <= t_max)
         raise SingularityError(f"singular drift at t={bad:.6g}; simulation refuses to cross it")
 
-    n_steps = int(round(t_max / cfg.dt)) if cfg.record_times else 0
+    rec = np.array([round(tr / cfg.dt) for tr in cfg.record_times], dtype=np.int64)
+    ends = np.unique(rec[rec > 0])
+    n_steps = int(ends[-1]) if ends.size else 0
     step_t = np.arange(n_steps) * cfg.dt
     A_steps = np.interp(step_t, sol.t, sol.A)
     B_steps = np.stack([np.interp(step_t, sol.t, sol.B[:, i]) for i in range(spec.n)], axis=1) \
@@ -157,54 +167,36 @@ def simulate_paths(spec: ScenarioSpec, sol: HjbSolution, cfg: SimConfig) -> SimR
     if n_steps and not (np.all(np.isfinite(A_steps)) and np.all(np.isfinite(B_steps))):
         k_bad = int(np.argmax(~(np.isfinite(A_steps) & np.all(np.isfinite(B_steps), axis=1))))
         raise SingularityError(f"singular drift at t={step_t[k_bad]:.6g}")
-    gain = 1.0 + 2.0 * cfg.dt * A_steps
-    drift = cfg.dt * B_steps
+    chain = _interval_maps(1.0 + 2.0 * cfg.dt * A_steps, cfg.dt * B_steps,
+                           spec.delta * math.sqrt(cfg.dt), ends)
 
-    rec_idx = [int(round(tr / cfg.dt)) for tr in cfg.record_times]
-    R = len(rec_idx)
-    endpoints = np.empty((cfg.n_paths, R, spec.n))
-    jump_totals = np.zeros(n_steps, dtype=np.int64)
-
+    endpoints = np.empty((cfg.n_paths, len(rec), spec.n))
     blocks = range(-(-cfg.n_paths // _BLOCK))
     workers = min(worker_count(), len(blocks))
 
     def run(block):
         out = endpoints[block * _BLOCK : (block + 1) * _BLOCK]
-        return _simulate_block(spec, cfg, block, out, gain, drift, rec_idx)
+        return _simulate_block(spec, cfg, block, out, rec, ends, chain)
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             per_block = list(pool.map(run, blocks))
     else:
         per_block = [run(b) for b in blocks]
-    for events in per_block:
-        jump_totals += events
+    cum_jumps = np.concatenate([[0], np.cumsum(sum(per_block))])
 
     E_hat = endpoints.mean(axis=0)
-    if cfg.n_paths > 1:
-        sd = endpoints.std(axis=0, ddof=1)
-        se_E = sd / math.sqrt(cfg.n_paths)
-        var_pc = endpoints.var(axis=0, ddof=1)          # (R, n)
-        V_hat = var_pc.mean(axis=1)
-        centered = endpoints - E_hat[None, :, :]
-        m4 = np.mean(centered**4, axis=0)
-        se_var = np.sqrt(np.maximum(m4 - var_pc**2, 0.0) / cfg.n_paths)
-        se_V = se_var.mean(axis=1)
-    else:
-        se_E = np.zeros_like(E_hat)
-        V_hat = np.zeros(R)
-        se_V = np.zeros(R)
-
-    cum_jumps = np.concatenate([[0], np.cumsum(jump_totals)]) if n_steps else np.zeros(1, np.int64)
-    n_jumps = np.array([cum_jumps[min(k, len(cum_jumps) - 1)] for k in rec_idx], dtype=np.int64)
-
+    centered = endpoints - E_hat
+    sq = centered * centered
+    var_pc = sq.sum(axis=0) / (cfg.n_paths - 1)     # endpoints.var(axis=0, ddof=1), (R, n)
+    m4 = np.mean(sq * sq, axis=0)
     return SimResult(
         record_times=tuple(cfg.record_times),
         E_hat=E_hat,
-        se_E=se_E,
-        V_hat=V_hat,
-        se_V=se_V,
-        n_jumps=n_jumps,
+        se_E=np.sqrt(var_pc) / math.sqrt(cfg.n_paths),
+        V_hat=var_pc.mean(axis=1),
+        se_V=np.sqrt(np.maximum(m4 - var_pc**2, 0.0) / cfg.n_paths).mean(axis=1),
+        n_jumps=cum_jumps[np.searchsorted(ends, rec, side="right")].astype(np.int64),
         n_paths=cfg.n_paths,
         endpoints=endpoints if cfg.keep_endpoints else None,
     )
@@ -275,11 +267,14 @@ class CompareReport:
         }
 
 
-def _zscore(sim, ana, se) -> float:
-    gap = sim - ana
+def _entry(quantity: str, t: float, analytic, simulated, se) -> CompareEntry:
+    analytic, simulated, se = float(analytic), float(simulated), float(se)
+    gap = simulated - analytic
     if se == 0.0:
-        return 0.0 if abs(gap) < 1e-12 else math.inf
-    return gap / se
+        z = 0.0 if abs(gap) < 1e-12 else math.inf
+    else:
+        z = gap / se
+    return CompareEntry(quantity, t, analytic, simulated, se, z)
 
 
 def compare_report(
@@ -302,31 +297,15 @@ def compare_report(
             raise ScenarioError(f"record time {t} outside the analytic horizon")
         E = np.atleast_1d(path.E_at(t))
         for c in range(E.shape[0]):
-            entries.append(CompareEntry(
-                quantity=f"E_{c + 1}", t=t, analytic=float(E[c]),
-                simulated=float(sim.E_hat[i, c]), se=float(sim.se_E[i, c]),
-                z=_zscore(float(sim.E_hat[i, c]), float(E[c]), float(sim.se_E[i, c])),
-            ))
-        V = float(path.V_at(t))
-        entries.append(CompareEntry(
-            quantity="V", t=t, analytic=V,
-            simulated=float(sim.V_hat[i]), se=float(sim.se_V[i]),
-            z=_zscore(float(sim.V_hat[i]), V, float(sim.se_V[i])),
-        ))
+            entries.append(_entry(f"E_{c + 1}", t, E[c], sim.E_hat[i, c], sim.se_E[i, c]))
+        entries.append(_entry("V", t, path.V_at(t), sim.V_hat[i], sim.se_V[i]))
         if omegas and evaluator is not None and sim.endpoints is not None:
             emp = empirical_charfun(sim, t, omegas)
             ana = np.atleast_1d(evaluator.eval_solution_charfun(t, np.asarray(omegas, float)))
             for j, w in enumerate(emp["omega"]):
-                entries.append(CompareEntry(
-                    quantity=f"charfun_re(w={w:g})", t=t, analytic=float(ana[j].real),
-                    simulated=float(emp["mean"][j].real), se=float(emp["se_re"][j]),
-                    z=_zscore(float(emp["mean"][j].real), float(ana[j].real), float(emp["se_re"][j])),
-                ))
-                entries.append(CompareEntry(
-                    quantity=f"charfun_im(w={w:g})", t=t, analytic=float(ana[j].imag),
-                    simulated=float(emp["mean"][j].imag), se=float(emp["se_im"][j]),
-                    z=_zscore(float(emp["mean"][j].imag), float(ana[j].imag), float(emp["se_im"][j])),
-                ))
+                mean = emp["mean"][j]
+                entries.append(_entry(f"charfun_re(w={w:g})", t, ana[j].real, mean.real, emp["se_re"][j]))
+                entries.append(_entry(f"charfun_im(w={w:g})", t, ana[j].imag, mean.imag, emp["se_im"][j]))
 
     refinement = None
     if sim_refined is not None:
@@ -361,13 +340,28 @@ def sim_to_csv(result: SimResult) -> str:
 
 
 def sim_from_csv(text: str) -> SimResult:
-    """Rebuild the estimator table from its CSV serialization (no endpoints)."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    header = lines[0].split(",")
+    """Rebuild the estimator table from its CSV serialization (no endpoints).
+
+    A malformed table raises ``ScenarioError`` naming the line at fault.
+    """
+    rows = [(no, ln) for no, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+    if not rows:
+        raise ScenarioError("simulation CSV is empty")
+    header = rows[0][1].split(",")
     n = sum(1 for name in header if name.startswith("E_hat_"))
-    data = np.array([[float(x) for x in ln.split(",")] for ln in lines[1:]])
-    if data.size == 0:
-        data = data.reshape(0, len(header))
+    if n == 0 or len(header) != 2 * n + 4:
+        raise ScenarioError(f"simulation CSV line {rows[0][0]}: header must be t, E_hat_1..n, "
+                            "se_E_1..n, V_hat, se_V, n_jumps")
+    data = np.empty((len(rows) - 1, len(header)))
+    for row, (no, ln) in zip(data, rows[1:]):
+        cells = ln.split(",")
+        if len(cells) != len(header):
+            raise ScenarioError(f"simulation CSV line {no} has {len(cells)} fields, "
+                                f"the header {len(header)}")
+        try:
+            row[:] = [float(x) for x in cells]
+        except ValueError:
+            raise ScenarioError(f"simulation CSV line {no} holds a value that is not a number") from None
     return SimResult(
         record_times=tuple(data[:, 0]),
         E_hat=data[:, 1 : 1 + n],

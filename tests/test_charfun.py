@@ -174,6 +174,23 @@ class TestDensityInversion:
         with pytest.raises(GridResolutionError, match="mass nan"):
             ev.invert_density(1e-100, n_x=64)
 
+    def test_subnormal_time_is_rejected_before_any_quadrature(self, monkeypatch):
+        # sd ~ 1e-155 at t = 1e-310: the grid frequencies are finite, their squares are not
+        spec = make_spec(delta=0.5, lam=1.0, jump={"type": "point", "params": {"z0": 1.0}})
+        ev = evaluator(spec, N=512, M=64)
+        calls = []
+        moment_form = ev.eval_charfun_via_moments
+
+        def recording(t, omega):
+            calls.append(t)
+            return moment_form(t, omega)
+
+        monkeypatch.setattr(ev, "eval_charfun_via_moments", recording)
+        with pytest.raises(GridResolutionError, match="t=1e-310"):
+            ev.invert_density(1e-310, n_x=64)
+        assert calls == []
+        assert ev.invert_density(1e-200, n_x=64).mass == pytest.approx(1.0, abs=1e-3)
+
     def test_too_few_grid_points_rejected(self, brownian_spec):
         ev = evaluator(brownian_spec)
         for n_x in (0, 1):

@@ -156,6 +156,28 @@ class TestRejectedBeforeSolving:
         assert main(args + extra) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["simulate", "compare"])
+    def test_jump_rate_too_high_for_dt_exits_one_without_solving(
+            self, tmp_path, monkeypatch, capsys, command):
+        calls = []
+
+        def counting(spec, N, *args, **kwargs):
+            calls.append(N)
+            return solve_backward(spec, N, *args, **kwargs)
+
+        for module in (hjb, moments):
+            monkeypatch.setattr(module, "solve_backward", counting)
+        scenario = tmp_path / "fast_jumps.json"
+        scenario.write_text(json.dumps(make_doc(delta=0.5, lam=100.0,
+                                                jump={"type": "point", "params": {"z0": 1.0}})))
+        out = tmp_path / "out"
+        args = [command, "--scenario", str(scenario), "--paths", "1000", "--dt", "0.01",
+                "--seed", "1", "--times", "0.5", "--grid", "512", "--out", str(out)]
+        assert main(args) == 1
+        assert "reduce dt" in capsys.readouterr().err
+        assert calls == []
+        assert not out.exists()
+
     @pytest.mark.parametrize("command,extra", [
         ("compare", ["--paths", "1000", "--dt", "0.005", "--seed", "1"]),
         ("density", ["--times", "0.5"]),

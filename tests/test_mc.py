@@ -15,6 +15,8 @@ from mfg_moments import (
     empirical_charfun,
     mc,
     propagate_moments,
+    sim_from_csv,
+    sim_to_csv,
     simulate_paths,
     solve_backward,
 )
@@ -48,6 +50,13 @@ class TestSimulation:
         monkeypatch.setenv("MFG_MOMENTS_THREADS", "3")
         _, b = run(pure_jump_spec, n_paths=5000)
         assert np.array_equal(a.endpoints, b.endpoints)
+
+    def test_estimators_are_numpy_sample_moments_to_the_bit(self, pure_jump_spec):
+        _, res = run(pure_jump_spec, n_paths=5000, times=(0.0, 0.5, 1.0))
+        x = res.endpoints
+        assert np.array_equal(res.E_hat, x.mean(axis=0))
+        assert np.array_equal(res.se_E, x.std(axis=0, ddof=1) / math.sqrt(5000))
+        assert np.array_equal(res.V_hat, x.var(axis=0, ddof=1).mean(axis=1))
 
     def test_brownian_moments_within_z_bounds(self, brownian_spec):
         _, res = run(brownian_spec, n_paths=20000)
@@ -153,16 +162,60 @@ class TestBlockSampler:
         assert np.array_equal(out["1"].endpoints, out["3"].endpoints)
         assert np.array_equal(out["1"].n_jumps, out["3"].n_jumps)
 
-    def test_chunk_budget_does_not_change_a_bit(self, monkeypatch):
+    def test_record_time_order_does_not_change_a_bit(self):
         spec = make_spec(n=2, a=-0.3, delta=0.5, x0=[0.1, -0.2], v0=0.2, lam=2.0,
                          jump={"type": "gaussian", "params": {"mu": 0.1, "sigma": 0.3}})
-        sol, ref = run(spec, n_paths=5000, times=(0.0, 0.37, 1.0))
-        # one step per chunk, then three steps per chunk (which does not divide 200)
-        for budget in (1, 3 * 8 * mc._BLOCK * 2):
-            monkeypatch.setattr(mc, "_CHUNK_BYTES", budget)
-            _, res = run(spec, n_paths=5000, times=(0.0, 0.37, 1.0))
-            assert np.array_equal(res.endpoints, ref.endpoints)
-            assert np.array_equal(res.n_jumps, ref.n_jumps)
+        _, ref = run(spec, n_paths=5000, times=(0.0, 0.37, 1.0))
+        _, res = run(spec, n_paths=5000, times=(1.0, 0.0, 0.37))
+        assert np.array_equal(res.endpoints, ref.endpoints[:, [2, 0, 1]])
+        assert np.array_equal(res.n_jumps, ref.n_jumps[[2, 0, 1]])
+
+    def test_deterministic_chain_matches_a_step_loop(self):
+        spec = make_spec(n=2, a=-0.8, b=[0.3, -0.2], A_T=0.5, B_T=[0.1, 0.4], x0=[1.0, -0.5])
+        sol = solve_backward(spec, 512)
+        dt, times = 0.002, (0.0, 0.3, 0.74, 1.0)
+        res = simulate_paths(spec, sol, SimConfig(n_paths=1000, dt=dt, seed=1, record_times=times))
+        X, k = np.array([1.0, -0.5]), 0
+        for i, t in enumerate(times):
+            while k < round(t / dt):
+                A = np.interp(k * dt, sol.t, sol.A)
+                B = np.array([np.interp(k * dt, sol.t, sol.B[:, c]) for c in range(2)])
+                X = (1.0 + 2.0 * A * dt) * X + B * dt
+                k += 1
+            np.testing.assert_allclose(res.endpoints[:, i], np.broadcast_to(X, (1000, 2)),
+                                       rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("jump", [
+        {"type": "point", "params": {"z0": [0.4, -0.4]}},
+        {"type": "gaussian", "params": {"mu": [0.1, -0.1], "sigma": 0.5}},
+    ])
+    def test_moments_match_the_exact_chain_moments(self, jump):
+        # the Euler chain's own discrete moments, per coordinate:
+        # m <- g m + d + lam dt E[Z],  v <- g^2 v + noise^2 + lam dt E[Z^2]
+        lam, dt, n_paths = 2.0, 0.005, 20000
+        spec = make_spec(n=2, a=-2.0, b=[0.2, -0.1], A_T=1.0, B_T=[0.3, 0.0], delta=0.7,
+                         x0=[0.5, -1.0], v0=0.3, lam=lam, jump=jump)
+        times = (0.25, 0.6, 1.0)
+        sol, res = run(spec, n_paths=n_paths, dt=dt, seed=19, times=times)
+        p = jump["params"]
+        if jump["type"] == "point":
+            EZ = np.array(p["z0"])
+            EZ2 = EZ**2
+        else:
+            EZ = np.array(p["mu"])
+            EZ2 = EZ**2 + p["sigma"] ** 2
+        m, v = np.array([0.5, -1.0]), np.full(2, 0.3)
+        k = 0
+        for i, t in enumerate(times):
+            while k < round(t / dt):
+                g = 1.0 + 2.0 * dt * np.interp(k * dt, sol.t, sol.A)
+                d = dt * np.array([np.interp(k * dt, sol.t, sol.B[:, c]) for c in range(2)])
+                m = g * m + d + lam * dt * EZ
+                v = g * g * v + spec.delta**2 * dt + lam * dt * EZ2
+                k += 1
+            z_E = (res.E_hat[i] - m) / res.se_E[i]
+            z_V = (res.V_hat[i] - v.mean()) / res.se_V[i]
+            assert np.all(np.abs(z_E) <= 4.0) and abs(z_V) <= 4.0, (t, z_E, z_V)
 
     def test_peak_memory_does_not_depend_on_dt(self, monkeypatch):
         monkeypatch.setenv("MFG_MOMENTS_THREADS", "1")
@@ -189,6 +242,32 @@ class TestBlockSampler:
         for t, total in zip(times[1:], res.n_jumps[1:]):
             expected = lam * t * n_paths
             assert abs(total - expected) <= 4.0 * math.sqrt(expected), (t, total)
+
+
+class TestSimCsv:
+    def test_round_trip(self, pure_jump_spec):
+        _, res = run(pure_jump_spec, times=(0.0, 0.5, 1.0))
+        again = sim_from_csv(sim_to_csv(res))
+        assert again.record_times == res.record_times
+        for name in ("E_hat", "se_E", "V_hat", "se_V", "n_jumps"):
+            assert np.array_equal(getattr(again, name), getattr(res, name))
+
+    VALID = "t,E_hat_1,se_E_1,V_hat,se_V,n_jumps\n0.5,1,0.1,2,0.2,7\n1,2,0.1,3,0.3,15\n"
+
+    @pytest.mark.parametrize("text,cause", [
+        ("", "empty"),
+        ("\n  \n", "empty"),
+        ("t,V_hat,se_V,n_jumps\n0.5,2,0.2,7\n", "line 1: header must be"),
+        (VALID.replace("\n1,2,0.1,3,0.3,15\n", "\n1,2,0.1,3,0.3\n"), "line 3 has 5 fields"),
+        (VALID.replace("0.5,1,0.1", "0.5,x,0.1"), "line 2 holds a value that is not a number"),
+    ], ids=["empty", "blank", "no-E_hat-column", "ragged-row", "non-numeric"])
+    def test_malformed_table_names_the_line(self, text, cause):
+        with pytest.raises(ScenarioError, match=cause):
+            sim_from_csv(text)
+
+    def test_header_only_is_an_empty_table(self):
+        res = sim_from_csv(self.VALID.splitlines()[0] + "\n")
+        assert res.record_times == () and res.E_hat.shape == (0, 1)
 
 
 class TestEmpiricalCharfun:
