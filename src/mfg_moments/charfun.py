@@ -54,6 +54,7 @@ from .errors import ConvergenceError, GridResolutionError, ScenarioError, Singul
 from .hjb import HjbSolution
 from .model import InitialLaw, ScenarioSpec, jump_charfn_batch, jump_moments, jump_second_moment_matrix
 from .moments import MomentPath, propagate_moments, solve_scenario_backward
+from .table import read_table, write_table
 
 _MAX_QUAD_NODES = 1 << 16
 # Log-modulus bound below which a density frequency is not evaluated: exp()
@@ -74,24 +75,14 @@ class DensityGrid:
     variance: float
 
     def to_csv(self) -> str:
-        lines = [
-            f"# t={self.t:.17g} mass={self.mass:.17g} "
-            f"mean={self.mean:.17g} variance={self.variance:.17g}",
-            "x,m",
-        ]
-        lines += [f"{x:.17g},{m:.17g}" for x, m in zip(self.x, self.m)]
-        return "\n".join(lines) + "\n"
+        meta = {"t": self.t, "mass": self.mass, "mean": self.mean, "variance": self.variance}
+        return write_table(["x", "m"], np.column_stack([self.x, self.m]), meta)
 
     @classmethod
     def from_csv(cls, text: str) -> "DensityGrid":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        meta = {}
-        for token in lines[0].lstrip("# ").split():
-            key, _, val = token.partition("=")
-            meta[key] = float(val)
-        data = np.array([[float(x) for x in ln.split(",")] for ln in lines[2:]])
-        return cls(t=meta["t"], x=data[:, 0], m=data[:, 1],
-                   mass=meta["mass"], mean=meta["mean"], variance=meta["variance"])
+        meta, _, data = read_table(text, "density", "x, m", lambda h: h == ["x", "m"],
+                                   meta_keys=("t", "mass", "mean", "variance"), min_rows=2)
+        return cls(x=data[:, 0], m=data[:, 1], **meta)
 
 
 def gaussian_density(E, V: float, x) -> float | np.ndarray:

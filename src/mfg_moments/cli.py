@@ -27,6 +27,7 @@ from .mc import SimConfig, compare_report, endpoints_to_csv, sim_to_csv, simulat
 from .model import parse_scenario, serialize_scenario
 from .moments import moments_to_csv, solve_scenario, solve_scenario_backward
 from .recover import evaluate_fit, fit_parameters, series_from_csv
+from .table import write_table
 
 _EXIT_OK = 0
 _EXIT_VALIDATION = 1
@@ -75,12 +76,11 @@ class _OutputWriter:
         self.write("manifest.json", _json_dumps(doc))
 
 
-def _load_scenario(path: str):
+def _read_text(path: str, what: str) -> str:
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ScenarioError(f"cannot read scenario file {path}: {exc}") from None
-    return parse_scenario(text)
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ScenarioError(f"cannot read {what} file {path}: {exc}") from None
 
 
 def _parse_times(text: str) -> tuple[float, ...]:
@@ -91,13 +91,13 @@ def _parse_times(text: str) -> tuple[float, ...]:
 
 
 def _cmd_validate(args) -> int:
-    spec = _load_scenario(args.scenario)
+    spec = parse_scenario(_read_text(args.scenario, "scenario"))
     print(f"OK: dimension={spec.n} T={spec.T} delta={spec.delta} lambda={spec.lam}")
     return _EXIT_OK
 
 
 def _cmd_solve(args) -> int:
-    spec = _load_scenario(args.scenario)
+    spec = parse_scenario(_read_text(args.scenario, "scenario"))
     sol, path = solve_scenario(spec, args.grid)
     out = _OutputWriter(args.out)
     out.write("hjb.csv", hjb_to_csv(sol))
@@ -107,7 +107,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_density(args) -> int:
-    spec = _load_scenario(args.scenario)
+    spec = parse_scenario(_read_text(args.scenario, "scenario"))
     times = _parse_times(args.times)
     if not times:
         raise ScenarioError("density: at least one time is required")
@@ -128,7 +128,7 @@ def _cmd_density(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    spec = _load_scenario(args.scenario)
+    spec = parse_scenario(_read_text(args.scenario, "scenario"))
     cfg = SimConfig(
         n_paths=args.paths,
         dt=args.dt,
@@ -153,7 +153,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    spec = _load_scenario(args.scenario)
+    spec = parse_scenario(_read_text(args.scenario, "scenario"))
     times = _parse_times(args.times) if args.times else (spec.T / 2, spec.T)
     omegas = _parse_times(args.omegas) if args.omegas else (0.5, 1.0, 2.0)
     if spec.n != 1:
@@ -175,11 +175,9 @@ def _cmd_compare(args) -> int:
     out.write("report.json", _json_dumps(report.to_dict()))
     out.write("sim.csv", sim_to_csv(result))
     if omegas:
-        sweep = ["omega,re,im"]
-        for t in times:
-            vals = np.atleast_1d(ev.eval_solution_charfun(t, np.asarray(omegas)))
-            sweep += [f"{w:.17g},{v.real:.17g},{v.imag:.17g}" for w, v in zip(omegas, vals)]
-        out.write("charfun.csv", "\n".join(sweep) + "\n")
+        vals = [np.atleast_1d(ev.eval_solution_charfun(t, np.asarray(omegas))) for t in times]
+        sweep = [np.column_stack([omegas, v.real, v.imag]) for v in vals]
+        out.write("charfun.csv", write_table(["omega", "re", "im"], np.vstack(sweep)))
     out.manifest(
         "compare",
         serialize_scenario(spec),
@@ -190,11 +188,7 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_recover(args) -> int:
-    try:
-        text = Path(args.input).read_text()
-    except OSError as exc:
-        raise ScenarioError(f"cannot read input file {args.input}: {exc}") from None
-    series = series_from_csv(text)
+    series = series_from_csv(_read_text(args.input, "input"))
     params = fit_parameters(series, branch=_BRANCH_NAMES[args.branch])
     diag = evaluate_fit(params, series)
     out = _OutputWriter(args.out)

@@ -35,8 +35,8 @@ class Hermite:
         dy = np.asarray(dy, float)
         n = len(t) - 1
         h = (t[-1] - t[0]) / n
-        if not np.allclose(np.diff(t), h, rtol=1e-9, atol=0.0):
-            raise ScenarioError("interpolation grid must be uniformly spaced")
+        if not (h > 0 and np.allclose(np.diff(t), h, rtol=1e-9, atol=0.0)):
+            raise ScenarioError("interpolation grid must be increasing and uniformly spaced")
         self.t0, self.h, self._last = float(t[0]), float(h), n - 1
         m0, m1 = h * dy[:-1], h * dy[1:]
         jump = y[1:] - y[:-1]

@@ -40,6 +40,7 @@ from .model import (
     vector_fn,
 )
 from .ode import cumsimpson, rk4_linear
+from .table import read_table, write_table
 
 # |u| below this is treated as a zero of the linearizer.
 U_ZERO_TOL = 1e-12
@@ -328,21 +329,15 @@ def check_conditions(sol: HjbSolution, spec: ScenarioSpec) -> ConditionReport:
     )
 
 
+def _hjb_columns(n: int) -> list[str]:
+    return ["t", "u", "udot", "A", *(f"v_{i + 1}" for i in range(n)),
+            *(f"B_{i + 1}" for i in range(n)), "C"]
+
+
 def hjb_to_csv(sol: HjbSolution) -> str:
     """CSV with columns t, u, udot, A, v_1..v_n, B_1..B_n, C."""
-    n = sol.n
-    cols = ["t", "u", "udot", "A"]
-    cols += [f"v_{i + 1}" for i in range(n)]
-    cols += [f"B_{i + 1}" for i in range(n)]
-    cols.append("C")
-    lines = [",".join(cols)]
-    for k in range(len(sol.t)):
-        row = [sol.t[k], sol.u[k], sol.udot[k], sol.A[k]]
-        row += list(sol.v[k])
-        row += list(sol.B[k])
-        row.append(sol.C[k])
-        lines.append(",".join(f"{x:.17g}" for x in row))
-    return "\n".join(lines) + "\n"
+    return write_table(_hjb_columns(sol.n),
+                       np.column_stack([sol.t, sol.u, sol.udot, sol.A, sol.v, sol.B, sol.C]))
 
 
 def hjb_from_csv(text: str, spec: ScenarioSpec | None = None) -> HjbSolution:
@@ -354,14 +349,12 @@ def hjb_from_csv(text: str, spec: ScenarioSpec | None = None) -> HjbSolution:
     which the spec does not fix) they are second-order finite differences
     of the columns, and the solution's coefficients raise ``ScenarioError``.
     """
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    header = lines[0].split(",")
-    n = sum(1 for name in header if name.startswith("v_"))
-    data = np.array([[float(x) for x in ln.split(",")] for ln in lines[1:]])
+    _, header, data = read_table(
+        text, "hjb", "t, u, udot, A, v_1..n, B_1..n, C",
+        lambda h: len(h) >= 7 and h == _hjb_columns((len(h) - 5) // 2), min_rows=3)
+    n = (len(header) - 5) // 2
     t, u, udot, A = data[:, 0], data[:, 1], data[:, 2], data[:, 3]
-    v = data[:, 4 : 4 + n]
-    B = data[:, 4 + n : 4 + 2 * n]
-    C = data[:, 4 + 2 * n]
+    v, B, C = data[:, 4 : 4 + n], data[:, 4 + n : 4 + 2 * n], data[:, 4 + 2 * n]
     a_fn = b_fn = _no_coefficient
     if spec is not None and spec.cost.b.kind != "meanfield":
         a_fn, b_fn = scalar_fn(spec.cost.a), vector_fn(spec.cost.b, n)
@@ -374,6 +367,10 @@ def hjb_from_csv(text: str, spec: ScenarioSpec | None = None) -> HjbSolution:
             "uddot": np.gradient(udot, t, edge_order=2),
             "vdot": np.gradient(v, t, axis=0, edge_order=2),
         }
+    try:
+        singular = tuple(_locate_zeros(t, u, udot))
+    except GridResolutionError as exc:
+        raise ScenarioError(f"hjb CSV: {exc}") from None
     return HjbSolution(
         t=t,
         u=u,
@@ -382,7 +379,7 @@ def hjb_from_csv(text: str, spec: ScenarioSpec | None = None) -> HjbSolution:
         v=v,
         B=B,
         C=C,
-        singular_times=tuple(_locate_zeros(t, u, udot)),
+        singular_times=singular,
         **slopes,
         a_fn=a_fn,
         b_fn=b_fn,

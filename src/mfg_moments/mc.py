@@ -38,6 +38,7 @@ import numpy as np
 from .errors import ScenarioError, SingularityError
 from .hjb import HjbSolution
 from .model import ScenarioSpec, sample_jumps
+from .table import read_table, write_table
 
 _BLOCK = 4096
 
@@ -325,18 +326,15 @@ def compare_report(
     )
 
 
+def _sim_columns(n: int) -> list[str]:
+    return ["t", *(f"E_hat_{i + 1}" for i in range(n)), *(f"se_E_{i + 1}" for i in range(n)),
+            "V_hat", "se_V", "n_jumps"]
+
+
 def sim_to_csv(result: SimResult) -> str:
     """CSV with columns t, E_hat_1..n, se_E_1..n, V_hat, se_V, n_jumps."""
-    n = result.E_hat.shape[1] if result.E_hat.ndim == 2 else 1
-    cols = ["t"]
-    cols += [f"E_hat_{i + 1}" for i in range(n)]
-    cols += [f"se_E_{i + 1}" for i in range(n)]
-    cols += ["V_hat", "se_V", "n_jumps"]
-    lines = [",".join(cols)]
-    for i, t in enumerate(result.record_times):
-        row = [t, *result.E_hat[i], *result.se_E[i], result.V_hat[i], result.se_V[i]]
-        lines.append(",".join(f"{x:.17g}" for x in row) + f",{int(result.n_jumps[i])}")
-    return "\n".join(lines) + "\n"
+    return write_table(_sim_columns(result.E_hat.shape[1]), np.column_stack(
+        [result.record_times, result.E_hat, result.se_E, result.V_hat, result.se_V, result.n_jumps]))
 
 
 def sim_from_csv(text: str) -> SimResult:
@@ -344,24 +342,10 @@ def sim_from_csv(text: str) -> SimResult:
 
     A malformed table raises ``ScenarioError`` naming the line at fault.
     """
-    rows = [(no, ln) for no, ln in enumerate(text.splitlines(), 1) if ln.strip()]
-    if not rows:
-        raise ScenarioError("simulation CSV is empty")
-    header = rows[0][1].split(",")
-    n = sum(1 for name in header if name.startswith("E_hat_"))
-    if n == 0 or len(header) != 2 * n + 4:
-        raise ScenarioError(f"simulation CSV line {rows[0][0]}: header must be t, E_hat_1..n, "
-                            "se_E_1..n, V_hat, se_V, n_jumps")
-    data = np.empty((len(rows) - 1, len(header)))
-    for row, (no, ln) in zip(data, rows[1:]):
-        cells = ln.split(",")
-        if len(cells) != len(header):
-            raise ScenarioError(f"simulation CSV line {no} has {len(cells)} fields, "
-                                f"the header {len(header)}")
-        try:
-            row[:] = [float(x) for x in cells]
-        except ValueError:
-            raise ScenarioError(f"simulation CSV line {no} holds a value that is not a number") from None
+    _, header, data = read_table(
+        text, "simulation", "t, E_hat_1..n, se_E_1..n, V_hat, se_V, n_jumps",
+        lambda h: len(h) >= 6 and h == _sim_columns((len(h) - 4) // 2), count="n_jumps")
+    n = (len(header) - 4) // 2
     return SimResult(
         record_times=tuple(data[:, 0]),
         E_hat=data[:, 1 : 1 + n],
@@ -378,10 +362,7 @@ def endpoints_to_csv(result: SimResult) -> str:
     """Flat endpoint dump (path, t, x_1..x_n); large, gated by the CLI flag."""
     if result.endpoints is None:
         raise ScenarioError("endpoints were not retained (set keep_endpoints)")
-    n = result.endpoints.shape[2]
-    lines = [",".join(["path", "t"] + [f"x_{i + 1}" for i in range(n)])]
-    for p in range(result.endpoints.shape[0]):
-        for i, t in enumerate(result.record_times):
-            vals = ",".join(f"{x:.17g}" for x in result.endpoints[p, i])
-            lines.append(f"{p},{t:.17g},{vals}")
-    return "\n".join(lines) + "\n"
+    n_paths, n_times, n = result.endpoints.shape
+    data = np.column_stack([np.repeat(np.arange(n_paths), n_times), np.tile(result.record_times, n_paths),
+                            result.endpoints.reshape(n_paths * n_times, n)])
+    return write_table(["path", "t", *(f"x_{i + 1}" for i in range(n))], data)

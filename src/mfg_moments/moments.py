@@ -33,6 +33,7 @@ from .hermite import Hermite
 from .hjb import HjbSolution, solve_backward
 from .model import ScenarioSpec, eval_scalar_grid, eval_vector_grid, jump_moments
 from .ode import cumsimpson, rk4_linear
+from .table import read_table, write_table
 
 
 @dataclass
@@ -469,18 +470,16 @@ def solve_scenario_backward(spec: ScenarioSpec, N: int = 4096) -> HjbSolution:
     return _solve(spec, N)[0]
 
 
+def _moment_columns(n: int) -> list[str]:
+    return ["t", *(f"E_{i + 1}" for i in range(n)), "V"]
+
+
 def moments_to_csv(path: MomentPath) -> str:
     """CSV with a header comment carrying K, the residuals and the focal flag."""
-    rv = "nan" if path.residual_V is None else f"{path.residual_V:.17g}"
-    lines = [
-        f"# K={path.K:.17g} residual_E={path.residual_E:.17g} "
-        f"residual_V={rv} focal={int(path.focal)}",
-        ",".join(["t"] + [f"E_{i + 1}" for i in range(path.n)] + ["V"]),
-    ]
-    for k in range(len(path.t)):
-        row = [path.t[k], *path.E[k], path.V[k]]
-        lines.append(",".join(f"{x:.17g}" for x in row))
-    return "\n".join(lines) + "\n"
+    meta = {"K": path.K, "residual_E": path.residual_E,
+            "residual_V": math.nan if path.residual_V is None else path.residual_V,
+            "focal": int(path.focal)}
+    return write_table(_moment_columns(path.n), np.column_stack([path.t, path.E, path.V]), meta)
 
 
 def moments_from_csv(text: str) -> MomentPath:
@@ -489,23 +488,19 @@ def moments_from_csv(text: str) -> MomentPath:
     The CSV holds no coefficients, so the slopes of the E, E' and V
     interpolants are second-order finite differences of the columns.
     """
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    meta = {}
-    for token in lines[0].lstrip("# ").split():
-        key, _, val = token.partition("=")
-        meta[key] = val
-    data = np.array([[float(x) for x in ln.split(",")] for ln in lines[2:]])
-    t = data[:, 0]
-    E = data[:, 1:-1]
-    V = data[:, -1]
-    rv = float(meta.get("residual_V", "nan"))
+    meta, _, data = read_table(
+        text, "moments", "t, E_1..n, V",
+        lambda h: len(h) >= 3 and h == _moment_columns(len(h) - 2),
+        meta_keys=("K", "residual_E", "residual_V", "focal"), min_rows=3)
+    t, E, V = data[:, 0], data[:, 1:-1], data[:, -1]
+    rv = meta["residual_V"]
     Ep = np.gradient(E, t, axis=0, edge_order=2)
     return MomentPath(
         t=t, E=E, E_prime=Ep, E_second=np.gradient(Ep, t, axis=0, edge_order=2),
         V=V, V_prime=np.gradient(V, t, edge_order=2),
-        K=float(meta.get("K", "nan")),
-        residual_E=float(meta.get("residual_E", "nan")),
+        K=meta["K"],
+        residual_E=meta["residual_E"],
         residual_V=None if math.isnan(rv) else rv,
         residual_V_note="",
-        focal=bool(int(meta.get("focal", "0"))),
+        focal=bool(meta["focal"]),
     )

@@ -23,6 +23,7 @@ import numpy as np
 from .errors import ConvergenceError, ScenarioError
 from .hermite import Hermite
 from .ode import rk4_linear
+from .table import read_table, write_table
 
 BRANCHES = ("oscillatory", "exponential", "polynomial")
 # The profiled search: grid size over log(nu), its lowest frequency/rate, and
@@ -480,32 +481,11 @@ def series_from_csv(text: str) -> ObservedSeries:
     Blank lines and lines starting with '#' are skipped.  A malformed file
     raises ``ScenarioError`` naming the line at fault.
     """
-    rows = [(no, ln) for no, ln in enumerate(text.splitlines(), 1)
-            if ln.strip() and not ln.startswith("#")]
-    if not rows:
-        raise ScenarioError("observation CSV is empty")
-    header = [name.strip() for name in rows[0][1].split(",")]
-    if len(header) < 3 or header[0] != "t" or header[-1] != "V":
-        raise ScenarioError("observation CSV must have columns t, E..., V")
-    if len(rows) == 1:
-        raise ScenarioError("observation CSV has a header but no data rows")
-    data = np.empty((len(rows) - 1, len(header)))
-    for row, (no, ln) in zip(data, rows[1:]):
-        cells = ln.split(",")
-        if len(cells) != len(header):
-            raise ScenarioError(f"observation CSV line {no} has {len(cells)} fields, "
-                                f"the header {len(header)}")
-        try:
-            row[:] = [float(x) for x in cells]
-        except ValueError:
-            raise ScenarioError(f"observation CSV line {no} holds a value that is not a number") from None
+    _, _, data = read_table(text, "observation", "t, E..., V",
+                            lambda h: len(h) >= 3 and h[0] == "t" and h[-1] == "V", min_rows=1)
     return ObservedSeries(t=data[:, 0], E=data[:, 1:-1], V=data[:, -1])
 
 
 def series_to_csv(series: ObservedSeries) -> str:
     names = ["t"] + ([f"E_{i + 1}" for i in range(series.n)] if series.n > 1 else ["E"]) + ["V"]
-    lines = [",".join(names)]
-    for i in range(len(series.t)):
-        row = [series.t[i], *series.E[i], series.V[i]]
-        lines.append(",".join(f"{x:.17g}" for x in row))
-    return "\n".join(lines) + "\n"
+    return write_table(names, np.column_stack([series.t, series.E, series.V]))

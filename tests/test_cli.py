@@ -46,6 +46,15 @@ class TestValidate:
         assert main(["validate", "--scenario", str(bad)]) == 1
         assert "validation error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command,flag", [("validate", "--scenario"), ("recover", "--input")])
+    def test_undecodable_input_exits_one(self, tmp_path, capsys, command, flag):
+        bad = tmp_path / "utf16.txt"
+        bad.write_bytes(b"\xff\xfet\x00,\x00E\x00")
+        argv = [command, flag, str(bad)] + (["--out", str(tmp_path / "out")] if command == "recover" else [])
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: ") and "decode" in err
+
     def test_numerical_error_exits_two(self, tmp_path):
         doc = make_doc(a=2.0e4)
         f = tmp_path / "s.json"

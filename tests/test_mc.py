@@ -260,7 +260,10 @@ class TestSimCsv:
         ("t,V_hat,se_V,n_jumps\n0.5,2,0.2,7\n", "line 1: header must be"),
         (VALID.replace("\n1,2,0.1,3,0.3,15\n", "\n1,2,0.1,3,0.3\n"), "line 3 has 5 fields"),
         (VALID.replace("0.5,1,0.1", "0.5,x,0.1"), "line 2 holds a value that is not a number"),
-    ], ids=["empty", "blank", "no-E_hat-column", "ragged-row", "non-numeric"])
+        (VALID.replace(",7\n", ",7.5\n"), "line 2: n_jumps must be a non-negative integer"),
+        (VALID.replace(",15\n", ",-3\n"), "line 3: n_jumps must be a non-negative integer"),
+    ], ids=["empty", "blank", "no-E_hat-column", "ragged-row", "non-numeric", "fractional-count",
+            "negative-count"])
     def test_malformed_table_names_the_line(self, text, cause):
         with pytest.raises(ScenarioError, match=cause):
             sim_from_csv(text)
