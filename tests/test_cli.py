@@ -50,8 +50,8 @@ class TestValidate:
     def test_undecodable_input_exits_one(self, tmp_path, capsys, command, flag):
         bad = tmp_path / "utf16.txt"
         bad.write_bytes(b"\xff\xfet\x00,\x00E\x00")
-        argv = [command, flag, str(bad)] + (["--out", str(tmp_path / "out")] if command == "recover" else [])
-        assert main(argv) == 1
+        out = ["--out", str(tmp_path / "out")] if command == "recover" else []
+        assert main([command, flag, str(bad), *out]) == 1
         err = capsys.readouterr().err
         assert err.startswith("validation error: ") and "decode" in err
 

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from mfg_moments import DensityGrid, ScenarioError, hjb_from_csv, moments_from_csv, series_from_csv, sim_from_csv
+from mfg_moments import (
+    DensityGrid, ScenarioError, hjb_from_csv, moments_from_csv, series_from_csv, sim_from_csv,
+)
 from mfg_moments.table import read_table, write_table
 
 READERS = {
@@ -38,9 +40,11 @@ class TestFormat:
                         "-inf,0.10000000000000001\n")
 
     @settings(max_examples=60, deadline=None)
-    @given(data=arrays(np.float64, st.tuples(st.integers(0, 12), st.integers(1, 5)), elements=st.floats()),
+    @given(data=arrays(np.float64, st.tuples(st.integers(0, 12), st.integers(1, 5)),
+                       elements=st.floats()),
            meta=st.lists(st.floats(), max_size=3))
-    @example(data=np.array([[-0.0, 5e-324, -5e-324, np.inf, -np.inf, np.nan, 2.0**53]]), meta=[-0.0, np.nan])
+    @example(data=np.array([[-0.0, 5e-324, -5e-324, np.inf, -np.inf, np.nan, 2.0**53]]),
+             meta=[-0.0, np.nan])
     def test_round_trip_is_bit_exact(self, data, meta):
         header = [f"c{j}" for j in range(data.shape[1])]
         keys = tuple(f"k{i}" for i in range(len(meta)))
@@ -59,25 +63,28 @@ VALID = {
 
 
 def _cases():
-    yield "hjb", "", "hjb CSV is empty"
-    yield "hjb", VALID["hjb"].replace("udot,A,", ""), "hjb CSV line 1: header must be"
-    yield "hjb", VALID["hjb"].replace("\n0.5,1,0,0,0,0,0\n", "\n0.5,1,0,0,0,0\n"), "hjb CSV line 3 has 6 fields"
-    yield "hjb", VALID["hjb"].replace("\n0.5,1,0", "\n0.5,1,x"), "hjb CSV line 3 holds a value that is not"
-    yield "hjb", VALID["hjb"].rsplit("1,1", 1)[0], "hjb CSV has 2 data rows; it needs 3"
-    yield "moments", "\n \n", "moments CSV is empty"
-    yield "moments", VALID["moments"].replace("E_1", "E"), "moments CSV line 2: header must be"
-    yield "moments", VALID["moments"].replace("\n0.5,0.5,1\n", "\n0.5,0.5\n"), "moments CSV line 4 has 2 fields"
-    yield "moments", VALID["moments"].replace("\n1,1,1", "\n1,1,one"), "moments CSV line 5 holds a value that is not"
-    yield "moments", VALID["moments"].replace("residual_E=0 ", ""), "moments CSV line 1 has no residual_E= entry"
-    yield "moments", VALID["moments"].split("\n", 1)[1], "moments CSV line 1 has no K= entry"
-    yield "moments", VALID["moments"].replace("K=1", "K=x"), "moments CSV line 1 holds a value that is not"
-    yield "moments", VALID["moments"].rsplit("1,1,1", 1)[0], "moments CSV has 2 data rows; it needs 3"
-    yield "density", "", "density CSV is empty"
-    yield "density", VALID["density"].replace("x,m", "x,y"), "density CSV line 2: header must be"
-    yield "density", VALID["density"].replace("\n0,0.5\n", "\n0,0.5,1\n"), "density CSV line 4 has 3 fields"
-    yield "density", VALID["density"].replace("\n0,0.5\n", "\n0,\n"), "density CSV line 4 holds a value that is not"
-    yield "density", VALID["density"].replace(" mass=1", ""), "density CSV line 1 has no mass= entry"
-    yield "density", "\n".join(VALID["density"].splitlines()[:3]), "density CSV has 1 data rows; it needs 2"
+    """(reader, text, the error after "<reader> CSV ")."""
+    hjb, mom, den = VALID["hjb"], VALID["moments"], VALID["density"]
+    nan = "holds a value that is not a number"
+    yield "hjb", "", "is empty"
+    yield "hjb", hjb.replace("udot,A,", ""), "line 1: header must be"
+    yield "hjb", hjb.replace("\n0.5,1,0,0,0,0,0\n", "\n0.5,1,0,0,0,0\n"), "line 3 has 6 fields"
+    yield "hjb", hjb.replace("\n0.5,1,0", "\n0.5,1,x"), f"line 3 {nan}"
+    yield "hjb", hjb.rsplit("1,1", 1)[0], "has 2 data rows; it needs 3"
+    yield "moments", "\n \n", "is empty"
+    yield "moments", mom.replace("E_1", "E"), "line 2: header must be"
+    yield "moments", mom.replace("\n0.5,0.5,1\n", "\n0.5,0.5\n"), "line 4 has 2 fields"
+    yield "moments", mom.replace("\n1,1,1", "\n1,1,one"), f"line 5 {nan}"
+    yield "moments", mom.replace("residual_E=0 ", ""), "line 1 has no residual_E= entry"
+    yield "moments", mom.split("\n", 1)[1], "line 1 has no K= entry"
+    yield "moments", mom.replace("K=1", "K=x"), f"line 1 {nan}"
+    yield "moments", mom.rsplit("1,1,1", 1)[0], "has 2 data rows; it needs 3"
+    yield "density", "", "is empty"
+    yield "density", den.replace("x,m", "x,y"), "line 2: header must be"
+    yield "density", den.replace("\n0,0.5\n", "\n0,0.5,1\n"), "line 4 has 3 fields"
+    yield "density", den.replace("\n0,0.5\n", "\n0,\n"), f"line 4 {nan}"
+    yield "density", den.replace(" mass=1", ""), "line 1 has no mass= entry"
+    yield "density", "\n".join(den.splitlines()[:3]), "has 1 data rows; it needs 2"
 
 
 class TestMalformedTables:
@@ -88,7 +95,7 @@ class TestMalformedTables:
     @pytest.mark.parametrize("name,text,cause", list(_cases()),
                              ids=[f"{name}-{i}" for i, (name, _, _) in enumerate(_cases())])
     def test_malformed_table_names_the_line(self, name, text, cause):
-        with pytest.raises(ScenarioError, match=cause):
+        with pytest.raises(ScenarioError, match=f"^{name} CSV {cause}"):
             READERS[name](text)
 
 
@@ -96,7 +103,8 @@ HEADERS = ["t,u,udot,A,v_1,B_1,C", "t,E_1,V", "x,m", "t,E_hat_1,se_E_1,V_hat,se_
            "t,u,udot,A,v_1,v_2,B_1,B_2,C", "t,E_1,E_2,V"]
 META_KEYS = ["K", "residual_E", "residual_V", "focal", "t", "mass", "mean", "variance"]
 NUMBER = st.one_of(st.floats().map(repr), st.integers(-3, 3).map(str))
-CELL = st.one_of(NUMBER, st.sampled_from(["", "x", " 1 ", "1e999", "-nan", "0x10", "#"]), st.text(max_size=4))
+CELL = st.one_of(NUMBER, st.sampled_from(["", "x", " 1 ", "1e999", "-nan", "0x10", "#"]),
+                 st.text(max_size=4))
 
 
 @st.composite
