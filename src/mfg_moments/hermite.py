@@ -20,6 +20,14 @@ from .errors import ScenarioError
 ROOT_XTOL = 2e-12
 
 
+def uniform_step(t: np.ndarray, what: str) -> float:
+    """The step of the grid t; ``ScenarioError`` naming ``what`` unless t increases uniformly."""
+    h = (t[-1] - t[0]) / (len(t) - 1)
+    if not (h > 0 and np.allclose(np.diff(t), h, rtol=1e-9, atol=0.0)):
+        raise ScenarioError(f"{what} must be increasing and uniformly spaced")
+    return float(h)
+
+
 class Hermite:
     """C^1 piecewise cubic through (t_k, y_k) with slopes dy_k on a uniform grid.
 
@@ -33,11 +41,8 @@ class Hermite:
         t = np.asarray(t, float)
         y = np.asarray(y, float)
         dy = np.asarray(dy, float)
-        n = len(t) - 1
-        h = (t[-1] - t[0]) / n
-        if not (h > 0 and np.allclose(np.diff(t), h, rtol=1e-9, atol=0.0)):
-            raise ScenarioError("interpolation grid must be increasing and uniformly spaced")
-        self.t0, self.h, self._last = float(t[0]), float(h), n - 1
+        h = uniform_step(t, "interpolation grid")
+        self.t0, self.h, self._last = float(t[0]), h, len(t) - 2
         m0, m1 = h * dy[:-1], h * dy[1:]
         jump = y[1:] - y[:-1]
         # Coefficients in the local coordinate s = (x - t_k)/h, for Horner's rule.

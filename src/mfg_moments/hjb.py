@@ -12,7 +12,12 @@ quantities; C is only meaningful up to the first focal time when its
 sources are singular there.
 
 Only (u, u') is integrated (``ode.rk4_linear``); v and C, whose sources
-are known along u, are cumulative Simpson quadratures from T.
+are known along u, are cumulative Simpson quadratures from T.  The
+linearizer does not depend on the running-cost slope b and v is linear
+in it, so ``solve_backward`` is two steps: ``_linearize`` (u, u', their
+half-grid values and the focal times) and ``_Linearizer.v``, the one
+quadrature b enters.  The mean-field fixed point builds the first once and
+repeats only the second.
 
 Off-grid values come from cubic Hermite interpolants (``hermite``) built
 from the solver's own derivatives: u from u', u' from ``u'' = -2 a(t) u``
@@ -30,7 +35,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import GridResolutionError, ScenarioError, SingularityError
-from .hermite import Hermite
+from .hermite import Hermite, uniform_step
 from .model import (
     ScenarioSpec,
     eval_scalar_grid,
@@ -143,10 +148,8 @@ def solve_backward(spec: ScenarioSpec, N: int = 4096, b_override=None) -> HjbSol
     its coupling; a mean-field scenario without an override is rejected.
     The solution keeps the a(t) and b(t) used, for every later step to read.
     """
-    if N < 100:
-        raise ScenarioError(f"grid N={N}: must be >= 100")
+    lin = _linearize(spec, N)
     n = spec.n
-    a_fn = scalar_fn(spec.cost.a)
     c_fn = scalar_fn(spec.cost.c)
     if b_override is not None:
         b_fn = b_override
@@ -156,33 +159,19 @@ def solve_backward(spec: ScenarioSpec, N: int = 4096, b_override=None) -> HjbSol
         b_fn = vector_fn(spec.cost.b, n)
 
     lam = spec.lam
-    M1, M2 = jump_moments(spec.jump) if lam > 0 else (np.zeros(n), 0.0)
-    lam_M1 = lam * np.asarray(M1, float)
-    T = spec.T
-    h = T / N
-
-    # Coefficients on the half grid: index 2k is node k, 2k+1 the midpoint.
-    th = np.linspace(0.0, T, 2 * N + 1)
-    a_grid = eval_scalar_grid(a_fn, th, "a")
+    M2 = jump_moments(spec.jump)[1] if lam > 0 else 0.0
+    t_grid, th, h, u, udot = lin.t, lin.th, lin.h, lin.u, lin.udot
     b_grid = eval_vector_grid(b_fn, th, n, "b")
     c_grid = eval_scalar_grid(c_fn, th, "c")
-    t_grid = np.linspace(0.0, T, N + 1)
-
-    A_T = spec.terminal.A_T
-    y, yp = rk4_linear(a_grid[::-1], np.zeros((2 * N + 1, 1)), (1.0,), (2.0 * A_T,), -h)
-    u, udot = y[::-1, 0], yp[::-1, 0]
-    slopes = _node_slopes(a_grid[::2], b_grid[::2], lam_M1, u, udot)
-    u_h = Hermite(t_grid, u, udot)(th)
-    udot_h = Hermite(t_grid, udot, slopes["uddot"])(th)
-    vdot_h = -lam_M1 * udot_h[:, None] - b_grid * u_h[:, None]
-    v = np.asarray(spec.terminal.B_T, float) + cumsimpson(vdot_h[::-1], -h)[::-1]
+    v = lin.v(b_grid)
+    vdot = _vdot(b_grid[::2], lin.lam_M1, u, udot)
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        uz = np.where(u_h != 0.0, u_h, 1e-300)
-        A_h = udot_h / (2.0 * uz)
-        B_h = Hermite(t_grid, v, slopes["vdot"])(th) / uz[:, None]
+        uz = np.where(lin.u_h != 0.0, lin.u_h, 1e-300)
+        A_h = lin.udot_h / (2.0 * uz)
+        B_h = Hermite(t_grid, v, vdot)(th) / uz[:, None]
         Cdot_h = (-c_grid - 0.5 * np.sum(B_h * B_h, axis=1) - n * spec.delta**2 * A_h
-                  - lam * M2 * A_h - B_h @ lam_M1)
+                  - lam * M2 * A_h - B_h @ lin.lam_M1)
         C = spec.terminal.C_T + cumsimpson(Cdot_h[::-1], -h)[::-1]
 
     # Derived quantities with non-finite markers at zeros of u.
@@ -191,7 +180,7 @@ def solve_backward(spec: ScenarioSpec, N: int = 4096, b_override=None) -> HjbSol
         A = np.where(near_zero, np.nan, udot / (2.0 * np.where(near_zero, 1.0, u)))
         B = np.where(near_zero[:, None], np.nan, v / np.where(near_zero, 1.0, u)[:, None])
 
-    singular = _locate_zeros(t_grid, u, udot)
+    singular = lin.singular_times
     if singular:
         tainted = spec.delta > 0 or lam > 0 or float(np.max(np.abs(v))) > 1e-12
         if tainted:
@@ -205,10 +194,68 @@ def solve_backward(spec: ScenarioSpec, N: int = 4096, b_override=None) -> HjbSol
         v=v,
         B=B,
         C=C,
-        singular_times=tuple(singular),
-        **slopes,
-        a_fn=a_fn,
+        singular_times=singular,
+        uddot=lin.uddot,
+        vdot=vdot,
+        a_fn=lin.a_fn,
         b_fn=b_fn,
+    )
+
+
+@dataclass(frozen=True)
+class _Linearizer:
+    """The part of the backward solve that does not depend on b, on one grid.
+
+    ``u`` and ``udot`` solve ``u'' + 2 a u = 0`` from ``u(T) = 1``,
+    ``u'(T) = 2 A_T``; ``u_h`` and ``udot_h`` are their Hermite values on
+    the half grid ``th`` (index 2k is node k), where every Simpson source
+    along u is evaluated.  Since ``v = u B`` is linear in b, ``v`` is the
+    solve's one step that b enters: the mean-field fixed point builds this
+    once and calls ``v`` with each frozen coupling.
+    """
+
+    t: np.ndarray
+    th: np.ndarray
+    h: float
+    a_fn: Callable[[np.ndarray], np.ndarray]
+    a_grid: np.ndarray  # a on th
+    u: np.ndarray
+    udot: np.ndarray
+    uddot: np.ndarray
+    u_h: np.ndarray
+    udot_h: np.ndarray
+    lam_M1: np.ndarray  # lambda M1, the jumps' drift
+    B_T: np.ndarray
+    singular_times: tuple[float, ...]
+
+    def v(self, b_grid: np.ndarray) -> np.ndarray:
+        """v at the nodes for b on the half grid: ``v' = -lambda M1 u' - b u``, from B_T."""
+        vdot_h = _vdot(b_grid, self.lam_M1, self.u_h, self.udot_h)
+        return self.B_T + cumsimpson(vdot_h[::-1], -self.h)[::-1]
+
+
+def _linearize(spec: ScenarioSpec, N: int) -> _Linearizer:
+    """The linearizer of ``spec`` on N+1 nodes, with its focal times (``GridResolutionError``)."""
+    if N < 100:
+        raise ScenarioError(f"grid N={N}: must be >= 100")
+    a_fn = scalar_fn(spec.cost.a)
+    lam = spec.lam
+    M1 = jump_moments(spec.jump)[0] if lam > 0 else np.zeros(spec.n)
+    T = spec.T
+    h = T / N
+    th = np.linspace(0.0, T, 2 * N + 1)
+    a_grid = eval_scalar_grid(a_fn, th, "a")
+    t = np.linspace(0.0, T, N + 1)
+
+    A_T = spec.terminal.A_T
+    y, yp = rk4_linear(a_grid[::-1], np.zeros((2 * N + 1, 1)), (1.0,), (2.0 * A_T,), -h)
+    u, udot = y[::-1, 0], yp[::-1, 0]
+    uddot = -2.0 * a_grid[::2] * u
+    return _Linearizer(
+        t=t, th=th, h=h, a_fn=a_fn, a_grid=a_grid, u=u, udot=udot, uddot=uddot,
+        u_h=Hermite(t, u, udot)(th), udot_h=Hermite(t, udot, uddot)(th),
+        lam_M1=lam * np.asarray(M1, float), B_T=np.asarray(spec.terminal.B_T, float),
+        singular_times=tuple(_locate_zeros(t, u, udot)),
     )
 
 
@@ -216,12 +263,9 @@ def _no_coefficient(t):
     raise ScenarioError("hjb_from_csv without an explicit-b scenario carries no coefficients")
 
 
-def _node_slopes(a_nodes, b_nodes, lam_M1, u, udot) -> dict[str, np.ndarray]:
-    """``uddot = -2 a u`` and ``vdot = -lambda M1 u' - b u`` at the nodes."""
-    return {
-        "uddot": -2.0 * a_nodes * u,
-        "vdot": -lam_M1 * udot[:, None] - b_nodes * u[:, None],
-    }
+def _vdot(b, lam_M1, u, udot):
+    """``v' = -lambda M1 u' - b u``, for b of shape (len(u), n)."""
+    return -lam_M1 * udot[:, None] - b * u[:, None]
 
 
 def _locate_zeros(t: np.ndarray, u: np.ndarray, udot: np.ndarray) -> list[float]:
@@ -348,12 +392,17 @@ def hjb_from_csv(text: str, spec: ScenarioSpec | None = None) -> HjbSolution:
     holds no coefficients, so without a spec (or with a mean-field b,
     which the spec does not fix) they are second-order finite differences
     of the columns, and the solution's coefficients raise ``ScenarioError``.
+    So does a ``t`` column that is not an increasing uniform grid, and a
+    spec of another dimension than the table's.
     """
     _, header, data = read_table(
         text, "hjb", "t, u, udot, A, v_1..n, B_1..n, C",
         lambda h: len(h) >= 7 and h == _hjb_columns((len(h) - 5) // 2), min_rows=3)
     n = (len(header) - 5) // 2
     t, u, udot, A = data[:, 0], data[:, 1], data[:, 2], data[:, 3]
+    uniform_step(t, "hjb CSV t column")
+    if spec is not None and spec.n != n:
+        raise ScenarioError(f"hjb CSV has {n} coordinates, the scenario {spec.n}")
     v, B, C = data[:, 4 : 4 + n], data[:, 4 + n : 4 + 2 * n], data[:, 4 + 2 * n]
     a_fn = b_fn = _no_coefficient
     if spec is not None and spec.cost.b.kind != "meanfield":
@@ -361,7 +410,7 @@ def hjb_from_csv(text: str, spec: ScenarioSpec | None = None) -> HjbSolution:
         lam_M1 = spec.lam * jump_moments(spec.jump)[0] if spec.lam > 0 else np.zeros(n)
         a_nodes = eval_scalar_grid(a_fn, t, "a")
         b_nodes = eval_vector_grid(b_fn, t, n, "b")
-        slopes = _node_slopes(a_nodes, b_nodes, lam_M1, u, udot)
+        slopes = {"uddot": -2.0 * a_nodes * u, "vdot": _vdot(b_nodes, lam_M1, u, udot)}
     else:
         slopes = {
             "uddot": np.gradient(udot, t, edge_order=2),

@@ -13,6 +13,8 @@ wherever A is finite.  The E columns and psi are advanced together by
 propagation; a(t) and b(t) are the ones the backward solution was solved with.
 ``solve_scenario`` picks the mean-field fixed point or a single solve;
 ``solve_scenario_backward`` is the same choice for a caller that needs no moment path.
+The fixed point solves the linearizer u once on its coarse grid; each
+iteration advances only v(0), which fixes E'(0), and the E columns.
 
 Off-grid values come from cubic Hermite interpolants (``hermite``) built
 from the derivatives the propagation already has: E from E', E' from
@@ -29,8 +31,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConvergenceError, FormulaValidationError, ScenarioError, SingularityError
-from .hermite import Hermite
-from .hjb import HjbSolution, solve_backward
+from .hermite import Hermite, uniform_step
+from .hjb import HjbSolution, _linearize, solve_backward
 from .model import ScenarioSpec, eval_scalar_grid, eval_vector_grid, jump_moments
 from .ode import cumsimpson, rk4_linear
 from .table import read_table, write_table
@@ -98,10 +100,7 @@ def propagate_moments(sol: HjbSolution, spec: ScenarioSpec, literal_init: bool =
     N = len(t) - 1
     h = t[1] - t[0]
     n = spec.n
-    u0 = sol.u[0]
-    if abs(u0) < 1e-9 * float(np.max(np.abs(sol.u))):
-        raise SingularityError("condition (A_int) violated: u(0) = 0")
-
+    u0 = _nonzero_u0(sol.u)
     lam = spec.lam
     M1 = jump_moments(spec.jump)[0] if lam > 0 else np.zeros(n)
     K = variance_rate(spec)
@@ -131,9 +130,7 @@ def propagate_moments(sol: HjbSolution, spec: ScenarioSpec, literal_init: bool =
         focal = False
     else:
         # E (forcing -b) and psi (unforced) in one integration.
-        A0 = sol.udot[0] / (2.0 * u0)
-        B0 = sol.v[0] / u0
-        Ep0 = 2.0 * A0 * x0 + B0 + lam * M1
+        Ep0 = _initial_slope(u0, sol.udot[0], sol.v[0], x0, lam * M1)
         forcing = np.hstack([-b_grid, np.zeros((2 * N + 1, 1))])
         y, yp = rk4_linear(a_grid, forcing, (*x0, 0.0), (*Ep0, 1.0 / u0), h)
         E, Ep = y[:, :n], yp[:, :n]
@@ -158,6 +155,20 @@ def propagate_moments(sol: HjbSolution, spec: ScenarioSpec, literal_init: bool =
     path.residual_V = rep.rV
     path.residual_V_note = rep.note
     return path
+
+
+def _nonzero_u0(u: np.ndarray) -> float:
+    """u(0), which the forward flow divides by; ``SingularityError`` where it vanishes."""
+    if abs(u[0]) < 1e-9 * float(np.max(np.abs(u))):
+        raise SingularityError("condition (A_int) violated: u(0) = 0")
+    return u[0]
+
+
+def _initial_slope(u0, udot0, v0, x0, lam_M1) -> np.ndarray:
+    """``E'(0) = 2 A(0) x0 + B(0) + lambda M1``, with ``A = u'/(2u)`` and ``B = v/u``."""
+    A0 = udot0 / (2.0 * u0)
+    B0 = v0 / u0
+    return 2.0 * A0 * x0 + B0 + lam_M1
 
 
 @dataclass(frozen=True)
@@ -388,19 +399,24 @@ def solve_meanfield_fixedpoint(
 ) -> MeanFieldSolution:
     """Damped Picard iteration for the mean-field coupled slope b(t).
 
-    Freezes b_k(t) = b0 + b1 E_k(t) + b2 E_k'(t), re-solves the backward
-    system and the forward moments, and averages successive expectation
-    iterates.  Iterations run on a coarse grid (whose discretization error
-    sits far below the fixed-point tolerance); the converged coupling is
-    then re-solved once at the requested resolution, and the result is
-    verified against the reduced linear ODE E'' + b2 E' + (2a+b1) E = -b0.
+    Freezes b_k(t) = b0 + b1 E_k(t) + b2 E_k'(t), solves the backward and
+    forward systems with it, and averages successive expectation iterates.
+    Iterations run on a coarse grid (whose discretization error sits far
+    below the fixed-point tolerance).  The linearizer u does not depend on
+    b, so it is solved once there; each iteration advances only what b
+    enters: v(0), by one Simpson quadrature, which fixes E'(0), and the E
+    columns of ``E'' + 2 a E = -b_k``.  The converged coupling is then
+    re-solved once at the requested resolution by ``solve_backward`` and
+    ``propagate_moments``, and the result is verified against the reduced
+    linear ODE E'' + b2 E' + (2a+b1) E = -b0.
     """
     if spec.cost.b.kind != "meanfield":
         raise ScenarioError("scenario does not use a mean-field coupled b")
     if spec.cost.a.kind != "const":
         raise ScenarioError("mean-field fixed point requires constant a")
+    n = spec.n
     coef = spec.cost.b
-    b0 = np.asarray(coef.b0 if len(coef.b0) == spec.n else coef.b0 * spec.n, float)
+    b0 = np.asarray(coef.b0 if len(coef.b0) == n else coef.b0 * n, float)
     b1, b2 = coef.b1, coef.b2
 
     N_it = min(N, max(256, N // 16))
@@ -417,6 +433,11 @@ def solve_meanfield_fixedpoint(
 
     iteration = 0
     converged = b1 == 0.0 and b2 == 0.0  # constant map: one solve is the fixed point
+    if not converged:
+        lin = _linearize(spec, N_it)
+        u0 = _nonzero_u0(lin.u)
+        h = t_it[1] - t_it[0]
+        a_nodes = lin.a_grid[::2, None]
     while not converged:
         iteration += 1
         if iteration > max_iter:
@@ -424,20 +445,22 @@ def solve_meanfield_fixedpoint(
                 f"mean-field fixed point did not converge in {max_iter} iterations "
                 f"(last increment {delta:.3e})"
             )
-        sol = solve_backward(spec, N_it, b_override=frozen_b(t_it, E, Ep, Epp))
-        path = propagate_moments(sol, spec)
+        b_grid = eval_vector_grid(frozen_b(t_it, E, Ep, Epp), lin.th, n, "b")
+        Ep0 = _initial_slope(u0, lin.udot[0], lin.v(b_grid)[0], spec.x0, lin.lam_M1)
+        E_new, Ep_new = rk4_linear(lin.a_grid, -b_grid, spec.x0, Ep0, h)
+        Epp_new = -2.0 * a_nodes * E_new - b_grid[::2]
         # Converged when consecutive map outputs agree or the damped
         # increment drops below tol, whichever happens first.
-        delta = 0.5 * float(np.max(np.abs(path.E - E)))
+        delta = 0.5 * float(np.max(np.abs(E_new - E)))
         if E_map_prev is not None:
-            delta = min(delta, float(np.max(np.abs(path.E - E_map_prev))))
+            delta = min(delta, float(np.max(np.abs(E_new - E_map_prev))))
         if delta < tol:
-            E, Ep, Epp = path.E, path.E_prime, path.E_second
+            E, Ep, Epp = E_new, Ep_new, Epp_new
             break
-        E_map_prev = path.E
-        E = 0.5 * (path.E + E)
-        Ep = 0.5 * (path.E_prime + Ep)
-        Epp = 0.5 * (path.E_second + Epp)
+        E_map_prev = E_new
+        E = 0.5 * (E_new + E)
+        Ep = 0.5 * (Ep_new + Ep)
+        Epp = 0.5 * (Epp_new + Epp)
 
     # Final pass with the converged coupling at the requested resolution
     # keeps (sol, path, b) consistent.
@@ -486,13 +509,15 @@ def moments_from_csv(text: str) -> MomentPath:
     """Rebuild a MomentPath from its CSV.
 
     The CSV holds no coefficients, so the slopes of the E, E' and V
-    interpolants are second-order finite differences of the columns.
+    interpolants are second-order finite differences of the columns, on a
+    ``t`` column that must be an increasing uniform grid (``ScenarioError``).
     """
     meta, _, data = read_table(
         text, "moments", "t, E_1..n, V",
         lambda h: len(h) >= 3 and h == _moment_columns(len(h) - 2),
         meta_keys=("K", "residual_E", "residual_V", "focal"), min_rows=3)
     t, E, V = data[:, 0], data[:, 1:-1], data[:, -1]
+    uniform_step(t, "moments CSV t column")
     rv = meta["residual_V"]
     Ep = np.gradient(E, t, axis=0, edge_order=2)
     return MomentPath(

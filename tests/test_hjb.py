@@ -187,6 +187,18 @@ class TestInterpolation:
         for name in ("u_at", "A_at", "B_at", "v_at"):
             assert _rel_err(getattr(again, name)(x), getattr(sol, name)(x)) <= 1e-13
 
+    @pytest.mark.parametrize("solved_n,spec_n", [(2, 1), (1, 2)])
+    def test_csv_read_with_a_spec_of_another_dimension_raises(self, solved_n, spec_n):
+        text = hjb_to_csv(solve_backward(make_spec(n=solved_n, b=0.2, B_T=0.1), N=128))
+        cause = f"^hjb CSV has {solved_n} coordinates, the scenario {spec_n}$"
+        with pytest.raises(ScenarioError, match=cause):
+            hjb_from_csv(text, make_spec(n=spec_n, b=0.2))
+
+    def test_csv_read_with_a_spec_checks_the_grid(self):
+        text = "t,u,udot,A,v_1,B_1,C\n0,1,0,0,0,0,0\n0,1,0,0,0,0,0\n1,1,0,0,0,0,0\n"
+        with pytest.raises(ScenarioError, match="^hjb CSV t column must be increasing"):
+            hjb_from_csv(text, make_spec())
+
     def test_root_of_a_skewed_cubic(self):
         # The cubic t^3 - 0.1 is reproduced exactly; its zero is far from the secant point 0.1.
         t = np.array([0.0, 1.0])

@@ -18,6 +18,8 @@ from mfg_moments import (
     solve_backward,
     solve_meanfield_fixedpoint,
 )
+from mfg_moments import hjb, moments
+from mfg_moments.hermite import Hermite
 from mfg_moments.hjb import hjb_from_csv, hjb_to_csv
 from mfg_moments.model import scenario_from_dict, vector_fn
 from mfg_moments.moments import _validate_closed_form, variance_rate
@@ -272,6 +274,41 @@ class TestClosedForms:
         assert path.E_at(np.array([0.1, 0.3, 0.7])).shape == (3, 1)
 
 
+def _reference_fixed_point(spec, N=4096, tol=1e-8, max_iter=200):
+    """The damped Picard loop with a full backward solve and propagation per iteration.
+
+    Returns the iteration count and the final E at N, or raises ``ConvergenceError``.
+    """
+    coef = spec.cost.b
+    b0 = np.asarray(coef.b0 if len(coef.b0) == spec.n else coef.b0 * spec.n, float)
+    N_it = min(N, max(256, N // 16))
+    t_it = np.linspace(0.0, spec.T, N_it + 1)
+    E = np.tile(spec.x0, (N_it + 1, 1))
+    Ep, Epp = np.zeros_like(E), np.zeros_like(E)
+    E_map_prev = None
+
+    def frozen_b(E, Ep, Epp):
+        E_it, Ep_it = Hermite(t_it, E, Ep), Hermite(t_it, Ep, Epp)
+        return lambda tk: b0 + coef.b1 * E_it(tk) + coef.b2 * Ep_it(tk)
+
+    for iteration in range(1, max_iter + 2):
+        if iteration > max_iter:
+            raise ConvergenceError(
+                f"mean-field fixed point did not converge in {max_iter} iterations "
+                f"(last increment {delta:.3e})")
+        path = propagate_moments(solve_backward(spec, N_it, b_override=frozen_b(E, Ep, Epp)), spec)
+        delta = 0.5 * float(np.max(np.abs(path.E - E)))
+        if E_map_prev is not None:
+            delta = min(delta, float(np.max(np.abs(path.E - E_map_prev))))
+        if delta < tol:
+            E, Ep, Epp = path.E, path.E_prime, path.E_second
+            break
+        E_map_prev = path.E
+        E, Ep, Epp = 0.5 * (path.E + E), 0.5 * (path.E_prime + Ep), 0.5 * (path.E_second + Epp)
+    final = propagate_moments(solve_backward(spec, N, b_override=frozen_b(E, Ep, Epp)), spec)
+    return iteration, final.E
+
+
 class TestMeanField:
     def test_uncoupled_converges_immediately(self):
         spec = make_spec(meanfield={"b0": 0, "b1": 0, "b2": 0}, delta=0.3, x0=1.0)
@@ -305,6 +342,47 @@ class TestMeanField:
                          B_T=-math.sin(1.0))
         with pytest.raises(ConvergenceError, match="increment"):
             solve_meanfield_fixedpoint(spec, N=256, max_iter=3)
+
+    def test_matches_a_full_solve_per_iteration(self):
+        # n = 2 converges; (a=0, b1=3, T=1) diverges, and its error must match too.
+        converging = make_spec(n=2, a=0.3, meanfield={"b0": [0.2, -0.1], "b1": 0.3, "b2": 0.1},
+                               delta=0.5, x0=[1.0, -0.5], B_T=[0.1, 0.0])
+        mf = solve_meanfield_fixedpoint(converging)
+        ref_iterations, ref_E = _reference_fixed_point(converging)
+        assert mf.iterations == ref_iterations
+        assert np.array_equal(mf.path.E, ref_E)
+
+        diverging = make_spec(meanfield={"b0": 0, "b1": 3.0, "b2": 0}, delta=0.5, x0=1.0)
+        with pytest.raises(ConvergenceError) as ref_err:
+            _reference_fixed_point(diverging, max_iter=5)
+        with pytest.raises(ConvergenceError) as err:
+            solve_meanfield_fixedpoint(diverging, max_iter=5)
+        assert str(err.value) == str(ref_err.value)
+
+    def test_one_full_solve_per_fixed_point(self, monkeypatch):
+        calls = []
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(moments, "solve_backward", counted(solve_backward))
+        monkeypatch.setattr(moments, "propagate_moments", counted(propagate_moments))
+        spec = make_spec(meanfield={"b0": 0.2, "b1": 0.3, "b2": 0.1}, delta=0.5, x0=1.0)
+        assert solve_meanfield_fixedpoint(spec, N=1024).iterations > 1
+        assert calls == ["solve_backward", "propagate_moments"]
+
+    def test_coarse_grid_raises_before_iterating(self, monkeypatch):
+        def no_step(*args):
+            raise AssertionError("iterated on a grid it rejects")
+
+        for module in (hjb, moments):
+            monkeypatch.setattr(module, "rk4_linear", no_step)
+        spec = make_spec(meanfield={"b0": 0.2, "b1": 0.3, "b2": 0.1}, delta=0.5, x0=1.0)
+        with pytest.raises(ScenarioError, match="N=50"):
+            solve_meanfield_fixedpoint(spec, N=50)
 
     def test_requires_meanfield_spec(self):
         with pytest.raises(ScenarioError, match="mean-field"):

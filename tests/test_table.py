@@ -85,6 +85,12 @@ def _cases():
     yield "density", den.replace("\n0,0.5\n", "\n0,\n"), f"line 4 {nan}"
     yield "density", den.replace(" mass=1", ""), "line 1 has no mass= entry"
     yield "density", "\n".join(den.splitlines()[:3]), "has 1 data rows; it needs 2"
+    grid = "t column must be increasing and uniformly spaced"
+    for name, table in (("hjb", hjb), ("moments", mom)):
+        # times repeated, decreasing, non-uniform
+        yield name, table.replace("\n0.5,", "\n0,"), grid
+        yield name, table.replace("\n0,", "\nX,").replace("\n1,", "\n0,").replace("\nX,", "\n1,"), grid
+        yield name, table.replace("\n0.5,", "\n0.25,"), grid
 
 
 class TestMalformedTables:
