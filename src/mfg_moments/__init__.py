@@ -22,7 +22,6 @@ from .hjb import (
     hjb_from_csv,
     hjb_to_csv,
     solve_backward,
-    weight,
 )
 from .mc import (
     CompareReport,

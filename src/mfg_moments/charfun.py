@@ -16,7 +16,8 @@ whose Q collects only the third-and-higher order jump contributions, so
 that for lambda = 0 the characteristic function is the Gaussian in
 (E, V) exactly.  Their pointwise agreement is a standing test.  General
 initial laws enter by the method of characteristics:
-m_hat(t, w) = G_hat(t, w) * m0_hat(w * weight(t, 0)).
+m_hat(t, w) = G_hat(t, w) * m0_hat(w * weight(t, 0)), and their moments
+by the same map, ``moments.law_image``, with r = weight(t, 0).
 
 Densities (one dimension) are inverted from the moment form, so a
 lambda = 0 density needs no eta-quadrature at all and a lambda > 0 one
@@ -41,6 +42,7 @@ ones and reuses the rest.
 E(t) and V(t) between grid nodes come from the fundamental moment path's
 cubic Hermite interpolants (slopes E' and V', see ``moments``), and the
 weight u(t)/u(eta) from the backward solution's (slope u', see ``hjb``).
+The fundamental path is the scenario's own, reused: one forward propagation.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ import numpy as np
 from .errors import ConvergenceError, GridResolutionError, ScenarioError, SingularityError
 from .hjb import HjbSolution
 from .model import InitialLaw, ScenarioSpec, jump_charfn_batch, jump_moments, jump_second_moment_matrix
-from .moments import MomentPath, propagate_moments, solve_scenario_backward
+from .moments import MomentPath, _nonzero_u0, _solve, law_image, propagate_moments
 from .table import read_table, write_table
 
 _MAX_QUAD_NODES = 1 << 16
@@ -111,18 +113,19 @@ def check_quad_nodes(M: int) -> None:
 class CharFunEvaluator:
     """Evaluates the solution characteristic function for one scenario.
 
-    Holds the backward solution, the fundamental-solution moment path
-    (started from a Dirac mass at the origin) and the starting
-    eta-quadrature resolution M.  Evaluations double M until two
-    successive composite Simpson values agree to 1e-6 and fail if that
-    never happens; each doubling evaluates only the new nodes.  Densities
-    use the moment form, whose only quadrature is the lambda Q term, on
-    the non-negative frequencies whose modulus bound does not underflow
-    (see the module docstring).
+    Holds the backward solution (u(0) != 0 by the moment map's rule), the
+    fundamental-solution moment path (started from a Dirac mass at the
+    origin) and the starting eta-quadrature resolution M.  Evaluations
+    double M until two successive composite Simpson values agree to 1e-6
+    and fail if that never happens; each doubling evaluates only the new
+    nodes.  Densities use the moment form, whose only quadrature is the
+    lambda Q term, on the non-negative frequencies whose modulus bound does
+    not underflow (see the module docstring).
     """
 
     def __init__(self, spec: ScenarioSpec, sol: HjbSolution, fundamental: MomentPath, M: int = 512):
         check_quad_nodes(M)
+        _nonzero_u0(sol.u)
         self.spec = spec
         self.sol = sol
         self.fundamental = fundamental
@@ -142,8 +145,9 @@ class CharFunEvaluator:
 
     @classmethod
     def from_scenario(cls, spec: ScenarioSpec, N: int = 4096, M: int = 512) -> "CharFunEvaluator":
-        """Evaluator on ``solve_scenario_backward``'s solution, the fixed point's for a mean-field b."""
-        return cls.from_solution(spec, solve_scenario_backward(spec, N), M=M)
+        """Evaluator on ``solve_scenario``'s solution, reusing a mean-field fixed point's fundamental path."""
+        sol, path = _solve(spec, N)
+        return cls.from_solution(spec, sol, M=M) if path is None else cls(spec, sol, path.fundamental, M=M)
 
     @classmethod
     def from_solution(
@@ -160,8 +164,6 @@ class CharFunEvaluator:
             raise ScenarioError(f"t={t} outside horizon [0, {self.spec.T}]")
         if self.sol.is_singular_on(t):
             raise SingularityError(f"scenario has a focal time on [0, {t}]")
-        if abs(self.sol.u[0]) < 1e-12:
-            raise SingularityError("condition (A_int) violated: u(0) = 0")
 
     def _omega_matrix(self, omegas) -> np.ndarray:
         w = np.asarray(omegas, float)
@@ -296,12 +298,10 @@ class CharFunEvaluator:
         return -0.5 * delta2 * S * omega * omega
 
     def solution_moments(self, t: float, initial: InitialLaw | None = None) -> tuple[np.ndarray, float]:
-        """Mean and per-coordinate variance of the full solution at time t."""
-        law = initial if initial is not None else self.spec.initial
-        wt = self.sol.weight(t, 0.0)
-        E = wt * np.asarray(law.x0, float) + np.atleast_1d(self.fundamental.E_at(t))
-        V = wt**2 * law.v0 + float(self.fundamental.V_at(t))
-        return E, V
+        """Mean and per-coordinate variance of the full solution at time t, by ``law_image``."""
+        E, V = law_image(initial if initial is not None else self.spec.initial, self.sol.weight(t, 0.0),
+                         np.atleast_1d(self.fundamental.E_at(t)), float(self.fundamental.V_at(t)))
+        return E, float(V)
 
     def invert_density(
         self,
@@ -353,7 +353,7 @@ class CharFunEvaluator:
         if math.isfinite(w_max) and not math.isfinite(w_max * w_max):
             raise GridResolutionError(f"density grid at t={t:.6g} is too narrow: its largest "
                                       f"frequency {w_max:.6g} squared overflows")
-        keep =np.flatnonzero(self.log_modulus_bound(t, omega) > _LOG_UNDERFLOW)
+        keep = np.flatnonzero(self.log_modulus_bound(t, omega) > _LOG_UNDERFLOW)
         # m_hat(t, -w) = conj m_hat(t, w) for a real law: evaluate indices up to
         # n_x // 2 (on an even grid the last is the Nyquist frequency, its own
         # partner) and fill index j > n_x // 2 from its partner n_x - j.

@@ -166,7 +166,7 @@ def _cmd_compare(args) -> int:
         cfg2.validate(spec)
     check_quad_nodes(args.quad)
     sol, path = solve_scenario(spec, args.grid)
-    ev = CharFunEvaluator.from_solution(spec, sol, M=args.quad)
+    ev = CharFunEvaluator(spec, sol, path.fundamental, M=args.quad) if omegas else None
     result = simulate_paths(spec, sol, cfg)
     refined = None if cfg2 is None else simulate_paths(spec, sol, cfg2)
     report = compare_report(path, ev, result, omegas=omegas, sim_refined=refined)

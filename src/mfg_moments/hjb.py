@@ -129,11 +129,6 @@ class HjbSolution:
         return any(t_min <= s <= t_max for s in self.singular_times)
 
 
-def weight(sol: HjbSolution, t: float, eta: float) -> float:
-    """Module-level alias for :meth:`HjbSolution.weight`."""
-    return sol.weight(t, eta)
-
-
 def solve_backward(spec: ScenarioSpec, N: int = 4096, b_override=None) -> HjbSolution:
     """Solve the backward coefficient system on a uniform N+1-node grid.
 

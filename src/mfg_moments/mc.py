@@ -217,12 +217,11 @@ def empirical_charfun(result: SimResult, t: float, omegas) -> dict:
         raise ScenarioError("empirical characteristic function supports dimension 1 only")
     x = X[:, 0]
     w = np.atleast_1d(np.asarray(omegas, float))
-    phases = np.exp(-1j * np.outer(w, x))  # (m, n_paths)
-    mean = phases.mean(axis=1)
+    phase = np.outer(w, x)  # exp(-i w x) = cos(w x) - i sin(w x), from real arrays only
+    cos, sin = np.cos(phase), np.sin(phase, out=phase)
     root = math.sqrt(result.n_paths)
-    se_re = phases.real.std(axis=1, ddof=1) / root
-    se_im = phases.imag.std(axis=1, ddof=1) / root
-    return {"omega": w, "mean": mean, "se_re": se_re, "se_im": se_im}
+    return {"omega": w, "mean": cos.mean(axis=1) - 1j * sin.mean(axis=1),
+            "se_re": cos.std(axis=1, ddof=1) / root, "se_im": sin.std(axis=1, ddof=1) / root}
 
 
 @dataclass

@@ -3,23 +3,27 @@
 With drift 2 A(t) x + B(t), diffusion level delta and compound-Poisson
 jumps of rate lambda, the expectation solves the regular second-order
 problem ``E'' + 2 a(t) E = -b(t)`` with ``E(0) = x0`` and
-``E'(0) = 2 A(0) x0 + B(0) + lambda M1``.  The per-coordinate variance is
-assembled from the linearizer pair: ``V = (v0/u(0)^2) u^2 + K u psi`` with
-``psi'' + 2 a psi = 0``, ``psi(0) = 0``, ``psi'(0) = 1/u(0)`` and the
-production rate ``K = delta^2 + lambda * M2 / n``.  Both satisfy the
-first-order relations ``E' = 2 A E + B + lambda M1`` and ``V' = 4 A V + K``
-wherever A is finite.  The E columns and psi are advanced together by
-``ode.rk4_linear``, and the second-order residuals are checked on every
-propagation; a(t) and b(t) are the ones the backward solution was solved with.
+``E'(0) = 2 A(0) x0 + B(0) + lambda M1``, and the per-coordinate variance
+``V' = 4 A V + K`` with the production rate ``K = delta^2 + lambda M2 / n``;
+a(t) and b(t) are the ones the backward solution was solved with.
+
+Only the fundamental solution, a Dirac mass at 0, is propagated
+(``fundamental_path``): its E columns and the linearizer's partner
+``psi'' + 2 a psi = 0``, ``psi(0) = 0``, ``psi'(0) = 1/u(0)``, in one
+``ode.rk4_linear`` call, with the signed variance pair ``K u psi``.  By the
+method of characteristics, ``m_hat(t, w) = G_hat(t, w) m0_hat(w r)`` with
+the flow factor ``r = u(t)/u(0)``, so any initial law's moments are the
+exact image ``E = r x0 + E_fund``, ``V = r^2 v0 + V_fund`` (``law_image``;
+literal mode sets r = 1).  ``propagate_moments`` maps, then folds V by abs
+(past a focal time the pair can be negative) and checks the residuals.
 ``solve_scenario`` picks the mean-field fixed point or a single solve;
 ``solve_scenario_backward`` is the same choice for a caller that needs no moment path.
 The fixed point solves the linearizer u once on its coarse grid; each
-iteration advances only v(0), which fixes E'(0), and the E columns.
+iteration advances only v(0), which fixes E'(0), and the fundamental E columns.
 
 Off-grid values come from cubic Hermite interpolants (``hermite``) built
 from the derivatives the propagation already has: E from E', E' from
-``E'' = -2 a E - b``, and V from ``V' = 2 (v0/u(0)^2) u u' + K (u' psi + u psi')``,
-the derivative of the (u, psi) pair.
+``E'' = -2 a E - b``, and V from the map's derivative ``V' = 2 r r' v0 + K (u' psi + u psi')``.
 """
 
 from __future__ import annotations
@@ -33,8 +37,8 @@ import numpy as np
 from .errors import ConvergenceError, FormulaValidationError, ScenarioError, SingularityError
 from .hermite import Hermite, uniform_step
 from .hjb import HjbSolution, _linearize, solve_backward
-from .model import ScenarioSpec, eval_scalar_grid, eval_vector_grid, jump_moments
-from .ode import cumsimpson, rk4_linear
+from .model import InitialLaw, ScenarioSpec, eval_scalar_grid, eval_vector_grid, jump_moments
+from .ode import rk4_linear
 from .table import read_table, write_table
 
 
@@ -44,7 +48,10 @@ class MomentPath:
 
     ``E_prime`` and ``V_prime`` are the node slopes of the Hermite
     interpolants behind ``E_at`` and ``V_at``; ``E_second`` is the slope
-    of E', which the mean-field fixed point interpolates.
+    of E', which the mean-field fixed point interpolates.  ``fundamental``
+    is the path an initial law's path is the image of.  A fundamental path
+    keeps V as the signed pair, negative past a focal time, and has no
+    residuals (NaN) and no fundamental.
     """
 
     t: np.ndarray
@@ -54,11 +61,12 @@ class MomentPath:
     V: np.ndarray         # (N+1,)
     V_prime: np.ndarray   # (N+1,)
     K: float
-    residual_E: float
-    residual_V: float | None
-    residual_V_note: str
-    focal: bool
+    residual_E: float = math.nan
+    residual_V: float | None = None
+    residual_V_note: str = ""
+    focal: bool = False
     literal: bool = False
+    fundamental: MomentPath | None = None
 
     @property
     def n(self) -> int:
@@ -87,68 +95,63 @@ def variance_rate(spec: ScenarioSpec) -> float:
     return spec.delta**2
 
 
-def propagate_moments(sol: HjbSolution, spec: ScenarioSpec, literal_init: bool = False) -> MomentPath:
-    """Propagate E(t) and V(t) forward on the solve grid, with the a(t) and b(t) ``sol`` holds.
+def fundamental_path(sol: HjbSolution, spec: ScenarioSpec) -> MomentPath:
+    """The fundamental solution's moments, with the a(t) and b(t) ``sol`` holds: one ``rk4_linear``.
 
-    ``literal_init`` switches to the diagnostic mode in which the initial
-    expectation and variance are added without flow propagation factors
-    (quadrature forms E = x0 + int w (B + lam M1), V = v0 + K int w^2);
-    it exists only for comparison experiments and is known to disagree
-    with simulation whenever A != 0 and the initial state is nonzero.
+    The E columns (forcing -b, from ``E(0) = 0``, ``E'(0) = B(0) + lambda M1``)
+    and psi (unforced) in one call; V is the signed pair, unchecked.
     """
     t = sol.t
     N = len(t) - 1
-    h = t[1] - t[0]
     n = spec.n
     u0 = _nonzero_u0(sol.u)
-    lam = spec.lam
-    M1 = jump_moments(spec.jump)[0] if lam > 0 else np.zeros(n)
+    lam_M1 = spec.lam * jump_moments(spec.jump)[0] if spec.lam > 0 else np.zeros(n)
     K = variance_rate(spec)
-    x0 = spec.x0
-    v0 = spec.initial.v0
 
     th = np.linspace(0.0, spec.T, 2 * N + 1)
     a_grid = eval_scalar_grid(sol.a_fn, th, "a")
     b_grid = eval_vector_grid(sol.b_fn, th, n, "b")
-    a_nodes, b_nodes = a_grid[::2, None], b_grid[::2]
-    u, ud = sol.u, sol.udot
+    forcing = np.hstack([-b_grid, np.zeros((2 * N + 1, 1))])
+    y, yp = rk4_linear(a_grid, forcing, np.zeros(n + 1), (*(sol.v[0] / u0 + lam_M1), 1.0 / u0), t[1] - t[0])
+    E, psi = y[:, :n], y[:, n]
+    return MomentPath(t=t, E=E, E_prime=yp[:, :n], E_second=-2.0 * a_grid[::2, None] * E - b_grid[::2],
+                      V=K * sol.u * psi, V_prime=K * (sol.udot * psi + sol.u * yp[:, n]), K=K)
 
-    if literal_init:
-        # Quadrature forms via prefix integrals of the weight ratios.
-        u_h = sol.u_at(th)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            gB = (sol.v_at(th) / u_h[:, None] + lam * M1) / u_h[:, None]
-            gV = 1.0 / np.square(u_h)
-        cumB, cumV = cumsimpson(gB, h), cumsimpson(gV, h)
-        E = x0 + u[:, None] * cumB
-        V = v0 + K * np.square(u) * cumV
-        # Their derivatives by the product rule; x0 is added without
-        # propagation, so E - x0 is what solves E'' = -2 a E - b.
-        Ep = ud[:, None] * cumB + u[:, None] * gB[::2]
-        Epp = -2.0 * a_nodes * (E - x0) - b_nodes
-        Vp = K * (2.0 * u * ud * cumV + np.square(u) * gV[::2])
-        focal = False
-    else:
-        # E (forcing -b) and psi (unforced) in one integration.
-        Ep0 = _initial_slope(u0, sol.udot[0], sol.v[0], x0, lam * M1)
-        forcing = np.hstack([-b_grid, np.zeros((2 * N + 1, 1))])
-        y, yp = rk4_linear(a_grid, forcing, (*x0, 0.0), (*Ep0, 1.0 / u0), h)
-        E, Ep = y[:, :n], yp[:, :n]
-        psi, psip = y[:, n], yp[:, n]
-        Epp = -2.0 * a_nodes * E - b_nodes
 
-        c = v0 / u0**2
-        V_pair = c * np.square(u) + K * u * psi
-        V_pair[0] = v0
-        Vp_pair = 2.0 * c * u * ud + K * (ud * psi + u * psip)
-        focal = bool(np.min(V_pair) < -1e-9 * max(1.0, float(np.max(np.abs(V_pair)))))
-        V = np.abs(V_pair)
-        Vp = np.where(V_pair < 0.0, -Vp_pair, Vp_pair)
+def law_image(law: InitialLaw, r, E_fund, V_fund):
+    """``(E, V) = (r x0 + E_fund, r^2 v0 + V_fund)``: an initial law's moments at flow factor r.
 
+    ``r = u(t)/u(0)`` (1 in literal mode) at one time or on a grid, with the
+    fundamental E of shape ``r.shape + (n,)``.  V_fund is the signed pair:
+    fold only after this map.
+    """
+    return np.multiply.outer(r, np.asarray(law.x0, float)) + E_fund, np.square(r) * law.v0 + V_fund
+
+
+def _grid_image(law: InitialLaw, lin, literal: bool, E, Ep, Epp, V=0.0, Vp=0.0):
+    """``law_image`` at the nodes of a solution or linearizer, and its derivatives: (E, E', E'', V, V')."""
+    r, rp, rpp = (1.0, 0.0, 0.0) if literal else np.stack([lin.u, lin.udot, lin.uddot]) / _nonzero_u0(lin.u)
+    x0 = np.asarray(law.x0, float)
+    E, V = law_image(law, r, E, V)
+    return E, np.multiply.outer(rp, x0) + Ep, np.multiply.outer(rpp, x0) + Epp, V, 2.0 * law.v0 * r * rp + Vp
+
+
+def propagate_moments(sol: HjbSolution, spec: ScenarioSpec, literal_init: bool = False) -> MomentPath:
+    """E(t) and V(t) of the scenario's initial law: ``fundamental_path``'s image, V folded and checked.
+
+    ``literal_init`` switches to the diagnostic mode in which the initial
+    expectation and variance are added without the flow factor (r = 1:
+    E = x0 + E_fund, V = v0 + V_fund); it exists only for comparison
+    experiments and is known to disagree with simulation whenever A != 0
+    and the initial state is nonzero.
+    """
+    f = fundamental_path(sol, spec)
+    E, Ep, Epp, V_pair, Vp_pair = _grid_image(spec.initial, sol, literal_init, f.E, f.E_prime, f.E_second,
+                                              f.V, f.V_prime)
     path = MomentPath(
-        t=t, E=E, E_prime=Ep, E_second=Epp, V=V, V_prime=Vp, K=K,
-        residual_E=math.nan, residual_V=None, residual_V_note="", focal=focal,
-        literal=literal_init,
+        t=sol.t, E=E, E_prime=Ep, E_second=Epp, V=np.abs(V_pair),
+        V_prime=np.where(V_pair < 0.0, -Vp_pair, Vp_pair), K=f.K, literal=literal_init, fundamental=f,
+        focal=bool(np.min(V_pair) < -1e-9 * max(1.0, float(np.max(np.abs(V_pair))))),
     )
     rep = residual_check(path, sol)
     path.residual_E = rep.rE
@@ -162,13 +165,6 @@ def _nonzero_u0(u: np.ndarray) -> float:
     if abs(u[0]) < 1e-9 * float(np.max(np.abs(u))):
         raise SingularityError("condition (A_int) violated: u(0) = 0")
     return u[0]
-
-
-def _initial_slope(u0, udot0, v0, x0, lam_M1) -> np.ndarray:
-    """``E'(0) = 2 A(0) x0 + B(0) + lambda M1``, with ``A = u'/(2u)`` and ``B = v/u``."""
-    A0 = udot0 / (2.0 * u0)
-    B0 = v0 / u0
-    return 2.0 * A0 * x0 + B0 + lam_M1
 
 
 @dataclass(frozen=True)
@@ -404,12 +400,16 @@ def solve_meanfield_fixedpoint(
     Iterations run on a coarse grid (whose discretization error sits far
     below the fixed-point tolerance).  The linearizer u does not depend on
     b, so it is solved once there; each iteration advances only what b
-    enters: v(0), by one Simpson quadrature, which fixes E'(0), and the E
-    columns of ``E'' + 2 a E = -b_k``.  The converged coupling is then
-    re-solved once at the requested resolution by ``solve_backward`` and
-    ``propagate_moments``, and the result is verified against the reduced
-    linear ODE E'' + b2 E' + (2a+b1) E = -b0.
+    enters: v(0), by one Simpson quadrature, which fixes E'(0), and the
+    fundamental E columns of ``E'' + 2 a E = -b_k``, which ``law_image``
+    carries to the initial law as ``propagate_moments`` does.  The converged
+    coupling is then re-solved once at the requested resolution by
+    ``solve_backward`` and ``propagate_moments``, and the result is verified
+    against the reduced linear ODE E'' + b2 E' + (2a+b1) E = -b0.
+    ``max_iter`` below 1 is a ``ScenarioError``.
     """
+    if max_iter < 1:
+        raise ScenarioError(f"mean-field fixed point: max_iter={max_iter} must be at least 1")
     if spec.cost.b.kind != "meanfield":
         raise ScenarioError("scenario does not use a mean-field coupled b")
     if spec.cost.a.kind != "const":
@@ -435,7 +435,6 @@ def solve_meanfield_fixedpoint(
     converged = b1 == 0.0 and b2 == 0.0  # constant map: one solve is the fixed point
     if not converged:
         lin = _linearize(spec, N_it)
-        u0 = _nonzero_u0(lin.u)
         h = t_it[1] - t_it[0]
         a_nodes = lin.a_grid[::2, None]
     while not converged:
@@ -446,9 +445,9 @@ def solve_meanfield_fixedpoint(
                 f"(last increment {delta:.3e})"
             )
         b_grid = eval_vector_grid(frozen_b(t_it, E, Ep, Epp), lin.th, n, "b")
-        Ep0 = _initial_slope(u0, lin.udot[0], lin.v(b_grid)[0], spec.x0, lin.lam_M1)
-        E_new, Ep_new = rk4_linear(lin.a_grid, -b_grid, spec.x0, Ep0, h)
-        Epp_new = -2.0 * a_nodes * E_new - b_grid[::2]
+        E_f, Ep_f = rk4_linear(lin.a_grid, -b_grid, np.zeros(n), lin.v(b_grid)[0] / lin.u[0] + lin.lam_M1, h)
+        E_new, Ep_new, Epp_new, _, _ = _grid_image(spec.initial, lin, False, E_f, Ep_f,
+                                                   -2.0 * a_nodes * E_f - b_grid[::2])
         # Converged when consecutive map outputs agree or the damped
         # increment drops below tol, whichever happens first.
         delta = 0.5 * float(np.max(np.abs(E_new - E)))
@@ -526,6 +525,5 @@ def moments_from_csv(text: str) -> MomentPath:
         K=meta["K"],
         residual_E=meta["residual_E"],
         residual_V=None if math.isnan(rv) else rv,
-        residual_V_note="",
         focal=bool(meta["focal"]),
     )

@@ -13,6 +13,7 @@ from mfg_moments import (
 from mfg_moments.cli import main
 from mfg_moments.hjb import hjb_from_csv
 from mfg_moments.moments import moments_from_csv
+from mfg_moments.ode import rk4_linear
 
 from conftest import make_doc
 
@@ -232,6 +233,40 @@ class TestPropagation:
         assert not hasattr(cli, "propagate_moments") and not hasattr(cli, "solve_backward")
 
 
+class TestForwardPropagations:
+    """Full-grid forward ``rk4_linear`` calls per command, at --grid 1024.
+
+    A scenario is propagated forward once: ``compare`` and the density of a
+    mean-field scenario reuse the fundamental path of the scenario's solve.
+    The mean-field iterations run on a coarser grid and do not count.
+    """
+
+    @pytest.mark.parametrize("doc,command,extra,expected", [
+        (PURE_JUMP, "solve", [], 1),
+        (MEAN_FIELD, "solve", [], 1),
+        (PURE_JUMP, "density", ["--times", "0.5", "--xgrid", "256", "--quad", "64"], 1),
+        (MEAN_FIELD, "density", ["--times", "0.5", "--xgrid", "256", "--quad", "64"], 1),
+        (PURE_JUMP, "compare", ["--paths", "1000", "--dt", "0.01", "--seed", "3", "--quad", "64"], 1),
+        (MEAN_FIELD, "compare", ["--paths", "1000", "--dt", "0.01", "--seed", "3", "--quad", "64"], 1),
+        (PURE_JUMP, "simulate", ["--paths", "1000", "--dt", "0.01", "--seed", "3"], 0),
+    ])
+    def test_one_forward_propagation(self, tmp_path, monkeypatch, doc, command, extra, expected):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(doc))
+        forward = []
+
+        def counting(a_half, f_half, y0, yp0, h):
+            if h > 0 and len(a_half) == 2 * 1024 + 1:
+                forward.append(f_half.shape[1])
+            return rk4_linear(a_half, f_half, y0, yp0, h)
+
+        for module in (hjb, moments):
+            monkeypatch.setattr(module, "rk4_linear", counting)
+        args = [command, "--scenario", str(scenario), "--grid", "1024", "--out", str(tmp_path / "o")]
+        assert main(args + extra) in (0, 3)
+        assert len(forward) == expected
+
+
 class TestCompare:
     def test_solves_the_backward_system_once(self, scenario_file, tmp_path, monkeypatch):
         calls = []
@@ -258,6 +293,19 @@ class TestCompare:
         assert _digests(out1) == _digests(out2)
         report = json.loads((out1 / "report.json").read_text())
         assert report["passed"] and report["max_abs_z"] <= 4
+
+    def test_multidimensional_compare_needs_no_characteristic_function(self, tmp_path):
+        # n > 1 compares E and V only; uniform jumps have an anisotropic second-moment
+        # matrix, which the characteristic-function evaluator would reject
+        doc = make_doc(n=2, delta=0.5, lam=1.0, x0=[0.2, -0.1],
+                       jump={"type": "uniform", "params": {"lo": -0.3, "hi": 0.5}})
+        f = tmp_path / "s.json"
+        f.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["compare", "--scenario", str(f), "--paths", "2000", "--dt", "0.01",
+                     "--seed", "4", "--grid", "512", "--out", str(out)]) in (0, 3)
+        report = json.loads((out / "report.json").read_text())
+        assert {e["quantity"] for e in report["entries"]} == {"E_1", "E_2", "V"}
 
     def test_biased_discretization_fails_comparison(self, tmp_path):
         # dt at the legality limit leaves an O(dt) bias much larger than se

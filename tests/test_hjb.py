@@ -17,7 +17,6 @@ from mfg_moments import (
     scenario_from_dict,
     solve_backward,
     solve_meanfield_fixedpoint,
-    weight,
 )
 from mfg_moments import hjb, model, propagate_moments
 from mfg_moments.hermite import Hermite
@@ -237,7 +236,6 @@ class TestWeight:
         lhs = sol.weight(1.0, 0.0)
         rhs = sol.weight(1.0, 0.5) * sol.weight(0.5, 0.0)
         assert abs(lhs - rhs) < 1e-10 * abs(lhs)
-        assert weight(sol, 1.0, 0.0) == lhs
 
     def test_non_finite_marker_at_zero_of_u(self):
         spec = make_spec(a=0.0, A_T=1.0, T=1.0)  # u vanishes at t = 0.5

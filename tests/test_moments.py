@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.interpolate import CubicSpline
 
 from mfg_moments import (
@@ -21,8 +22,9 @@ from mfg_moments import (
 from mfg_moments import hjb, moments
 from mfg_moments.hermite import Hermite
 from mfg_moments.hjb import hjb_from_csv, hjb_to_csv
-from mfg_moments.model import scenario_from_dict, vector_fn
-from mfg_moments.moments import _validate_closed_form, variance_rate
+from mfg_moments.model import eval_scalar_grid, eval_vector_grid, jump_moments, scenario_from_dict, vector_fn
+from mfg_moments.moments import _validate_closed_form, fundamental_path, variance_rate
+from mfg_moments.ode import rk4_linear
 
 from conftest import make_doc, make_spec
 
@@ -140,6 +142,77 @@ class TestPropagation:
         assert np.array_equal(path.E, again.E)
         assert np.array_equal(path.V, again.V)
         assert again.K == path.K and again.focal == path.focal
+
+
+def _direct_propagation(sol, spec):
+    """E and the signed V pair of the scenario's initial law, propagated without the map.
+
+    One forward ``rk4_linear`` from ``E(0) = x0``, ``E'(0) = 2 A(0) x0 + B(0) + lambda M1``,
+    with psi (``psi(0) = 0``, ``psi'(0) = 1/u(0)``) as the last column.
+    """
+    N, n = len(sol.t) - 1, spec.n
+    th = np.linspace(0.0, spec.T, 2 * N + 1)
+    b = eval_vector_grid(sol.b_fn, th, n, "b")
+    u0 = sol.u[0]
+    lam_M1 = spec.lam * jump_moments(spec.jump)[0] if spec.lam > 0 else np.zeros(n)
+    Ep0 = sol.udot[0] / u0 * np.asarray(spec.x0) + sol.v[0] / u0 + lam_M1
+    y, _ = rk4_linear(eval_scalar_grid(sol.a_fn, th, "a"), np.hstack([-b, np.zeros((2 * N + 1, 1))]),
+                      (*spec.x0, 0.0), (*Ep0, 1.0 / u0), sol.t[1] - sol.t[0])
+    return y[:, :n], np.square(sol.u / u0) * spec.initial.v0 + variance_rate(spec) * sol.u * y[:, n]
+
+
+@st.composite
+def _gaussian_laws(draw):
+    """Focal-free scenarios with a Gaussian initial law and constant or polynomial a.
+
+    a <= 0.9 with A_T <= 0.1 and T <= 1 keeps u free of zeros on [0, T].
+    """
+    n = draw(st.sampled_from([1, 2]))
+    coord = st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n)
+    a = draw(st.one_of(st.floats(-0.9, 0.5),
+                       st.lists(st.floats(-0.3, 0.3), min_size=2, max_size=3).map(lambda c: {"poly": c})))
+    lam = draw(st.sampled_from([0.0, 1.5]))
+    return make_spec(
+        n=n, a=a, b=draw(st.lists(st.floats(-0.5, 0.5), min_size=n, max_size=n)),
+        A_T=draw(st.floats(-0.3, 0.1)), B_T=draw(st.lists(st.floats(-0.3, 0.3), min_size=n, max_size=n)),
+        T=draw(st.floats(0.3, 1.0)), delta=draw(st.floats(0.1, 1.0)), lam=lam,
+        jump={"type": "gaussian", "params": {"mu": 0.2, "sigma": 0.4}} if lam else None,
+        x0=draw(coord), v0=draw(st.floats(0.01, 1.0)),
+    )
+
+
+class TestFundamentalMap:
+    @settings(max_examples=25, deadline=None)
+    @given(spec=_gaussian_laws())
+    def test_mapped_path_is_the_direct_propagation(self, spec):
+        sol, path = solve_and_propagate(spec)
+        assert not sol.singular_times and not path.focal
+        E, V = _direct_propagation(sol, spec)
+        assert np.max(np.abs(path.E - E)) <= 1e-12 * max(1.0, float(np.max(np.abs(E))))
+        assert np.array_equal(path.V, V)
+
+    def test_variance_across_a_focal_time_is_folded_after_the_map(self):
+        spec = make_spec(a=1.0, A_T=0.5, T=3.0, b=0.1, delta=0.5, x0=1.0, v0=0.3)
+        sol, path = solve_and_propagate(spec, N=4096)
+        assert sol.singular_times and path.focal
+        E, V_pair = _direct_propagation(sol, spec)
+        assert np.min(V_pair) < 0.0
+        assert np.max(np.abs(path.V - np.abs(V_pair))) <= 1e-12 * np.max(np.abs(V_pair))
+        # folding the fundamental pair before adding the initial law's share is wrong by O(1)
+        fund = fundamental_path(sol, spec)
+        folded_first = np.square(sol.u / sol.u[0]) * 0.3 + np.abs(fund.V)
+        assert np.max(np.abs(folded_first - path.V)) > 1.0
+
+    def test_the_path_carries_its_fundamental(self):
+        spec = make_spec(a=0.3, b=0.2, A_T=-0.2, delta=0.5, x0=0.7, v0=0.3)
+        sol, path = solve_and_propagate(spec)
+        dirac = propagate_moments(sol, make_spec(a=0.3, b=0.2, A_T=-0.2, delta=0.5))
+        assert np.array_equal(path.fundamental.E, dirac.E)
+        assert np.array_equal(path.fundamental.V, dirac.V)
+        # literal mode is the same map with the flow factor u/u(0) replaced by 1
+        lit = propagate_moments(sol, spec, literal_init=True)
+        assert np.array_equal(lit.E, 0.7 + path.fundamental.E)
+        assert np.array_equal(lit.V, 0.3 + path.fundamental.V)
 
 
 class TestResidualCheck:
@@ -383,6 +456,12 @@ class TestMeanField:
         spec = make_spec(meanfield={"b0": 0.2, "b1": 0.3, "b2": 0.1}, delta=0.5, x0=1.0)
         with pytest.raises(ScenarioError, match="N=50"):
             solve_meanfield_fixedpoint(spec, N=50)
+
+    @pytest.mark.parametrize("max_iter", [0, -1])
+    def test_max_iter_below_one_is_a_scenario_error(self, max_iter):
+        spec = make_spec(meanfield={"b0": 0.2, "b1": 0.3, "b2": 0.1}, delta=0.5, x0=1.0)
+        with pytest.raises(ScenarioError, match="max_iter"):
+            solve_meanfield_fixedpoint(spec, N=1024, max_iter=max_iter)
 
     def test_requires_meanfield_spec(self):
         with pytest.raises(ScenarioError, match="mean-field"):
