@@ -48,14 +48,14 @@ The fundamental path is the scenario's own, reused: one forward propagation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConvergenceError, GridResolutionError, ScenarioError, SingularityError
 from .hjb import HjbSolution
 from .model import InitialLaw, ScenarioSpec, jump_charfn_batch, jump_moments, jump_second_moment_matrix
-from .moments import MomentPath, _nonzero_u0, _solve, law_image, propagate_moments
+from .moments import MomentPath, _nonzero_u0, law_image, solve_scenario
 from .table import read_table, write_table
 
 _MAX_QUAD_NODES = 1 << 16
@@ -145,17 +145,9 @@ class CharFunEvaluator:
 
     @classmethod
     def from_scenario(cls, spec: ScenarioSpec, N: int = 4096, M: int = 512) -> "CharFunEvaluator":
-        """Evaluator on ``solve_scenario``'s solution, reusing a mean-field fixed point's fundamental path."""
-        sol, path = _solve(spec, N)
-        return cls.from_solution(spec, sol, M=M) if path is None else cls(spec, sol, path.fundamental, M=M)
-
-    @classmethod
-    def from_solution(
-        cls, spec: ScenarioSpec, sol: HjbSolution, M: int = 512
-    ) -> "CharFunEvaluator":
-        """Evaluator on an existing backward solution; only the fundamental path is propagated."""
-        spec_fund = replace(spec, initial=InitialLaw(kind="dirac", x0=(0.0,) * spec.n, v0=0.0))
-        return cls(spec, sol, propagate_moments(sol, spec_fund), M=M)
+        """Evaluator on ``solve_scenario``'s solution and the fundamental path its one propagation made."""
+        sol, path = solve_scenario(spec, N)
+        return cls(spec, sol, path.fundamental, M=M)
 
     # -- internals ---------------------------------------------------------
 

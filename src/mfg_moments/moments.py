@@ -49,7 +49,8 @@ class MomentPath:
     ``E_prime`` and ``V_prime`` are the node slopes of the Hermite
     interpolants behind ``E_at`` and ``V_at``; ``E_second`` is the slope
     of E', which the mean-field fixed point interpolates.  ``fundamental``
-    is the path an initial law's path is the image of.  A fundamental path
+    is the path an initial law's path is the image of (for a law at the
+    origin, it shares the arrays that need no fold).  A fundamental path
     keeps V as the signed pair, negative past a focal time, and has no
     residuals (NaN) and no fundamental.
     """
@@ -123,17 +124,24 @@ def law_image(law: InitialLaw, r, E_fund, V_fund):
 
     ``r = u(t)/u(0)`` (1 in literal mode) at one time or on a grid, with the
     fundamental E of shape ``r.shape + (n,)``.  V_fund is the signed pair:
-    fold only after this map.
+    fold only after this map.  A law at the origin is the fundamental
+    solution's own, and its image the fundamental moments themselves.
     """
-    return np.multiply.outer(r, np.asarray(law.x0, float)) + E_fund, np.square(r) * law.v0 + V_fund
+    return _mean_image(r, law.x0, E_fund), np.square(r) * law.v0 + V_fund if law.v0 else V_fund
 
 
-def _grid_image(law: InitialLaw, lin, literal: bool, E, Ep, Epp, V=0.0, Vp=0.0):
-    """``law_image`` at the nodes of a solution or linearizer, and its derivatives: (E, E', E'', V, V')."""
-    r, rp, rpp = (1.0, 0.0, 0.0) if literal else np.stack([lin.u, lin.udot, lin.uddot]) / _nonzero_u0(lin.u)
-    x0 = np.asarray(law.x0, float)
-    E, V = law_image(law, r, E, V)
-    return E, np.multiply.outer(rp, x0) + Ep, np.multiply.outer(rpp, x0) + Epp, V, 2.0 * law.v0 * r * rp + Vp
+def _mean_image(r, x0, E_fund):
+    """``r x0 + E_fund``, ``law_image``'s E; with r' and E_fund' (or r'' and E_fund'') its derivatives."""
+    x0 = np.asarray(x0, float)
+    return np.multiply.outer(r, x0) + E_fund if x0.any() else E_fund
+
+
+def _flow_factors(lin, literal: bool = False):
+    """``(r, r', r'')``, ``r = u/u(0)``, at a solution's or linearizer's nodes; (1, 0, 0) in literal mode."""
+    if literal:
+        return 1.0, 0.0, 0.0
+    u0 = _nonzero_u0(lin.u)
+    return lin.u / u0, lin.udot / u0, lin.uddot / u0
 
 
 def propagate_moments(sol: HjbSolution, spec: ScenarioSpec, literal_init: bool = False) -> MomentPath:
@@ -146,12 +154,17 @@ def propagate_moments(sol: HjbSolution, spec: ScenarioSpec, literal_init: bool =
     and the initial state is nonzero.
     """
     f = fundamental_path(sol, spec)
-    E, Ep, Epp, V_pair, Vp_pair = _grid_image(spec.initial, sol, literal_init, f.E, f.E_prime, f.E_second,
-                                              f.V, f.V_prime)
+    law = spec.initial
+    r, rp, rpp = _flow_factors(sol, literal_init)
+    E, V_pair = law_image(law, r, f.E, f.V)
+    Ep, Epp = _mean_image(rp, law.x0, f.E_prime), _mean_image(rpp, law.x0, f.E_second)
+    Vp_pair = 2.0 * law.v0 * r * rp + f.V_prime if law.v0 else f.V_prime
+    V, Vp = V_pair, Vp_pair
+    if np.signbit(V_pair).any():  # fold by abs; a pair without a sign bit is kept as it is
+        V, Vp = np.abs(V_pair), np.where(V_pair < 0.0, -Vp_pair, Vp_pair)
     path = MomentPath(
-        t=sol.t, E=E, E_prime=Ep, E_second=Epp, V=np.abs(V_pair),
-        V_prime=np.where(V_pair < 0.0, -Vp_pair, Vp_pair), K=f.K, literal=literal_init, fundamental=f,
-        focal=bool(np.min(V_pair) < -1e-9 * max(1.0, float(np.max(np.abs(V_pair))))),
+        t=sol.t, E=E, E_prime=Ep, E_second=Epp, V=V, V_prime=Vp, K=f.K, literal=literal_init, fundamental=f,
+        focal=bool(np.min(V_pair) < -1e-9 * max(1.0, float(np.max(V)))),
     )
     rep = residual_check(path, sol)
     path.residual_E = rep.rE
@@ -435,6 +448,7 @@ def solve_meanfield_fixedpoint(
     converged = b1 == 0.0 and b2 == 0.0  # constant map: one solve is the fixed point
     if not converged:
         lin = _linearize(spec, N_it)
+        r, rp, rpp = _flow_factors(lin)
         h = t_it[1] - t_it[0]
         a_nodes = lin.a_grid[::2, None]
     while not converged:
@@ -446,8 +460,8 @@ def solve_meanfield_fixedpoint(
             )
         b_grid = eval_vector_grid(frozen_b(t_it, E, Ep, Epp), lin.th, n, "b")
         E_f, Ep_f = rk4_linear(lin.a_grid, -b_grid, np.zeros(n), lin.v(b_grid)[0] / lin.u[0] + lin.lam_M1, h)
-        E_new, Ep_new, Epp_new, _, _ = _grid_image(spec.initial, lin, False, E_f, Ep_f,
-                                                   -2.0 * a_nodes * E_f - b_grid[::2])
+        E_new, Ep_new = _mean_image(r, spec.x0, E_f), _mean_image(rp, spec.x0, Ep_f)
+        Epp_new = _mean_image(rpp, spec.x0, -2.0 * a_nodes * E_f - b_grid[::2])
         # Converged when consecutive map outputs agree or the damped
         # increment drops below tol, whichever happens first.
         delta = 0.5 * float(np.max(np.abs(E_new - E)))

@@ -224,12 +224,11 @@ class TestPropagation:
             calls.append(spec.initial)
             return propagate_moments(sol, spec, *args, **kwargs)
 
-        for module in (moments, charfun):
-            monkeypatch.setattr(module, "propagate_moments", counting)
+        monkeypatch.setattr(moments, "propagate_moments", counting)
         args = [command, "--scenario", str(scenario), "--grid", "512", "--out", str(tmp_path / "o")]
         assert main(args + extra) == 0
-        # density's one path is the fundamental one, started from a Dirac mass at 0
-        assert calls == [InitialLaw(kind="dirac", x0=(0.0,), v0=0.0)] * paths
+        # density's one path is the scenario's; the evaluator takes its fundamental path
+        assert calls == [InitialLaw(kind="dirac", x0=(0.5,), v0=0.0)] * paths
         assert not hasattr(cli, "propagate_moments") and not hasattr(cli, "solve_backward")
 
 

@@ -209,6 +209,8 @@ class TestFundamentalMap:
         dirac = propagate_moments(sol, make_spec(a=0.3, b=0.2, A_T=-0.2, delta=0.5))
         assert np.array_equal(path.fundamental.E, dirac.E)
         assert np.array_equal(path.fundamental.V, dirac.V)
+        # a law at the origin is its own fundamental: the path keeps no second copy
+        assert dirac.E is dirac.fundamental.E and dirac.V is dirac.fundamental.V
         # literal mode is the same map with the flow factor u/u(0) replaced by 1
         lit = propagate_moments(sol, spec, literal_init=True)
         assert np.array_equal(lit.E, 0.7 + path.fundamental.E)
@@ -462,6 +464,15 @@ class TestMeanField:
         spec = make_spec(meanfield={"b0": 0.2, "b1": 0.3, "b2": 0.1}, delta=0.5, x0=1.0)
         with pytest.raises(ScenarioError, match="max_iter"):
             solve_meanfield_fixedpoint(spec, N=1024, max_iter=max_iter)
+
+    def test_u0_zero_is_rejected_before_any_iteration(self, monkeypatch):
+        # theta spans exactly pi/2 backward, so u(0) = 0 on the coarse grid too
+        spec = make_spec(a=2.0, A_T=0.0, T=math.pi / 4, meanfield={"b0": 0.2, "b1": 0.3, "b2": 0.1})
+        forward = []
+        monkeypatch.setattr(moments, "rk4_linear", lambda *args: forward.append(args) or rk4_linear(*args))
+        with pytest.raises(SingularityError, match="A_int"):
+            solve_meanfield_fixedpoint(spec, N=1024)
+        assert forward == []
 
     def test_requires_meanfield_spec(self):
         with pytest.raises(ScenarioError, match="mean-field"):
