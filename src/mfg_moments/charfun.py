@@ -53,9 +53,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, GridResolutionError, ScenarioError, SingularityError
-from .hjb import HjbSolution
-from .model import InitialLaw, ScenarioSpec, jump_charfn_batch, jump_moments, jump_second_moment_matrix
-from .moments import MomentPath, _nonzero_u0, law_image, solve_scenario
+from .hjb import HjbSolution, nonzero_u0
+from .model import ScenarioSpec, jump_charfn_batch, jump_moments, jump_second_moment_matrix
+from .moments import MomentPath, law_image, solve_scenario
 from .table import read_table, write_table
 
 _MAX_QUAD_NODES = 1 << 16
@@ -113,7 +113,7 @@ def check_quad_nodes(M: int) -> None:
 class CharFunEvaluator:
     """Evaluates the solution characteristic function for one scenario.
 
-    Holds the backward solution (u(0) != 0 by the moment map's rule), the
+    Holds the backward solution (u(0) != 0 by ``hjb.u0_vanishes``), the
     fundamental-solution moment path (started from a Dirac mass at the
     origin) and the starting eta-quadrature resolution M.  Evaluations
     double M until two successive composite Simpson values agree to 1e-6
@@ -125,7 +125,7 @@ class CharFunEvaluator:
 
     def __init__(self, spec: ScenarioSpec, sol: HjbSolution, fundamental: MomentPath, M: int = 512):
         check_quad_nodes(M)
-        _nonzero_u0(sol.u)
+        nonzero_u0(sol.u)
         self.spec = spec
         self.sol = sol
         self.fundamental = fundamental
@@ -255,9 +255,9 @@ class CharFunEvaluator:
             log_g = log_g + spec.lam * self._simpson_batch(t, w, integrand)
         return self._shape_result(np.exp(log_g), omega)
 
-    def initial_charfn(self, zeta: np.ndarray, initial: InitialLaw | None = None) -> np.ndarray:
+    def initial_charfn(self, zeta: np.ndarray) -> np.ndarray:
         """m0_hat on a batch of frequency vectors, shape (..., n)."""
-        law = initial if initial is not None else self.spec.initial
+        law = self.spec.initial
         zeta = np.asarray(zeta, float)
         x0 = np.asarray(law.x0, float)
         phase = -1j * (zeta @ x0)
@@ -265,15 +265,15 @@ class CharFunEvaluator:
             return np.exp(phase - 0.5 * law.v0 * np.sum(zeta * zeta, axis=-1))
         return np.exp(phase)
 
-    def eval_solution_charfun(self, t: float, omega, initial: InitialLaw | None = None):
+    def eval_solution_charfun(self, t: float, omega):
         """m_hat(t, omega) = G_hat(t, omega) * m0_hat(omega * weight(t, 0))."""
         w = self._omega_matrix(omega)
         g = np.asarray(self.eval_fundamental_charfun(t, w))
-        return self._shape_result(g.reshape(-1) * self._initial_factor(t, w, initial), omega)
+        return self._shape_result(g.reshape(-1) * self._initial_factor(t, w), omega)
 
-    def _initial_factor(self, t: float, w: np.ndarray, initial: InitialLaw | None) -> np.ndarray:
+    def _initial_factor(self, t: float, w: np.ndarray) -> np.ndarray:
         """m0_hat(w * weight(t, 0)) for frequency vectors w of shape (m, n)."""
-        return self.initial_charfn(w * self.sol.weight(t, 0.0), initial)
+        return self.initial_charfn(w * self.sol.weight(t, 0.0))
 
     def log_modulus_bound(self, t: float, omega: np.ndarray) -> np.ndarray:
         """Upper bound -delta^2 w^2 S / 2 on log |m_hat(t, w)| in one dimension.
@@ -289,19 +289,14 @@ class CharFunEvaluator:
         S = float(self.fundamental.V_at(t)) / (delta2 + self.spec.lam * self._M2)
         return -0.5 * delta2 * S * omega * omega
 
-    def solution_moments(self, t: float, initial: InitialLaw | None = None) -> tuple[np.ndarray, float]:
+    def solution_moments(self, t: float) -> tuple[np.ndarray, float]:
         """Mean and per-coordinate variance of the full solution at time t, by ``law_image``."""
-        E, V = law_image(initial if initial is not None else self.spec.initial, self.sol.weight(t, 0.0),
+        E, V = law_image(self.spec.initial, self.sol.weight(t, 0.0),
                          np.atleast_1d(self.fundamental.E_at(t)), float(self.fundamental.V_at(t)))
         return E, float(V)
 
     def invert_density(
-        self,
-        t: float,
-        n_x: int = 4096,
-        x_lo: float | None = None,
-        x_hi: float | None = None,
-        initial: InitialLaw | None = None,
+        self, t: float, n_x: int = 4096, x_lo: float | None = None, x_hi: float | None = None
     ) -> DensityGrid:
         """Density at time t by inverse DFT of the solution characteristic function.
 
@@ -323,7 +318,7 @@ class CharFunEvaluator:
         if n_x < 2:
             raise ScenarioError(f"density grid n_x={n_x}: needs at least 2 points")
         self._check_time(t)
-        E, V = self.solution_moments(t, initial)
+        E, V = self.solution_moments(t)
         mean, sd = float(E[0]), math.sqrt(max(V, 0.0))
         if not sd > 0:
             raise ScenarioError("degenerate (zero-variance) density cannot be gridded")
@@ -354,7 +349,7 @@ class CharFunEvaluator:
         for start in range(0, half.size, 512):
             chunk = half[start : start + 512]
             mhat[chunk] = self.eval_charfun_via_moments(t, omega[chunk])
-        mhat[half] *= self._initial_factor(t, omega[half, None], initial)
+        mhat[half] *= self._initial_factor(t, omega[half, None])
         mhat[mirror] = np.conj(mhat[n_x - mirror])
         m = np.fft.ifft(mhat * np.exp(1j * omega * x_lo)).real / dx
 

@@ -23,6 +23,8 @@ Off-grid values come from cubic Hermite interpolants (``hermite``) built
 from the solver's own derivatives: u from u', u' from ``u'' = -2 a(t) u``
 and v from ``v' = -lambda M1 u' - b u``.  Focal times are the zeros of
 the u cubic, found by safeguarded Newton steps inside each sign change.
+``check_conditions`` decides both integrability conditions from them,
+from u(0) and from whether v vanishes, without solving again.
 """
 
 from __future__ import annotations
@@ -177,7 +179,7 @@ def solve_backward(spec: ScenarioSpec, N: int = 4096, b_override=None) -> HjbSol
 
     singular = lin.singular_times
     if singular:
-        tainted = spec.delta > 0 or lam > 0 or float(np.max(np.abs(v))) > 1e-12
+        tainted = spec.delta > 0 or lam > 0 or not _v_vanishes(v)
         if tainted:
             C = np.where(t_grid < max(singular) + 0.5 * h, np.nan, C)
 
@@ -254,6 +256,23 @@ def _linearize(spec: ScenarioSpec, N: int) -> _Linearizer:
     )
 
 
+def u0_vanishes(u: np.ndarray) -> bool:
+    """The one rule for u(0) = 0 on a grid: ``|u(0)| < 1e-9 max|u|``."""
+    return abs(u[0]) < 1e-9 * float(np.max(np.abs(u)))
+
+
+def nonzero_u0(u: np.ndarray) -> float:
+    """u(0), which the forward flow divides by; ``SingularityError`` where it vanishes."""
+    if u0_vanishes(u):
+        raise SingularityError("condition (A_int) violated: u(0) = 0")
+    return u[0]
+
+
+def _v_vanishes(v: np.ndarray) -> bool:
+    """Whether v = u B vanishes identically: ``max|v| <= 1e-12``."""
+    return float(np.max(np.abs(v))) <= 1e-12
+
+
 def _no_coefficient(t):
     raise ScenarioError("hjb_from_csv without an explicit-b scenario carries no coefficients")
 
@@ -264,8 +283,11 @@ def _vdot(b, lam_M1, u, udot):
 
 
 def _locate_zeros(t: np.ndarray, u: np.ndarray, udot: np.ndarray) -> list[float]:
-    """Sign-change zeros of u, refined on its Hermite cubic to 2e-12."""
-    crossings = np.nonzero(u[:-1] * u[1:] < 0.0)[0]
+    """Sign-change zeros of u, refined on its Hermite cubic to 2e-12.
+
+    Signs are sign bits, so a zero on a node (+0.0) is found in one cell.
+    """
+    crossings = np.nonzero(np.signbit(u[:-1]) != np.signbit(u[1:]))[0]
     if len(crossings) == 0:
         return []
     gaps = np.diff(crossings)
@@ -330,40 +352,26 @@ class ConditionReport:
 
 
 def check_conditions(sol: HjbSolution, spec: ScenarioSpec) -> ConditionReport:
-    """Evaluate both integrability conditions at N and 2N grid resolutions.
+    """Both integrability conditions, read off ``sol``'s focal times, u(0) and v.
 
-    The 2N solve uses ``sol``'s own b.  The first condition requires the
-    weight exp(2 int_0^T A) to be finite, which with the linearizer means u
-    has no zero on [0, T] and u(0) != 0.  The second integral is flagged
-    divergent when refining the grid moves its value by more than 10 percent.
+    The first, a finite weight u(T)/u(0), holds when u(0) != 0 and u has
+    no focal time on [0, T].  Near a focal time s the second integrand
+    u(T) v/u^2 behaves like v(s)/(u'(s)^2 (t - s)^2), or like 1/(t - s) if
+    only v(s) = 0, so it holds when u(0) != 0 and either there is no focal
+    time or v vanishes identically (``max|v| <= 1e-12``).  A v that vanishes
+    at a focal time but not everywhere is a coincidence no grid resolves,
+    and counts as divergent.  ``a_int_second_value`` is the trapezoid of
+    the integrand on ``sol``'s grid.  ``spec`` is not read.
     """
-    N = len(sol.t) - 1
-    sol2 = solve_backward(spec, 2 * N, b_override=sol.b_fn)
-
-    u0 = sol.u[0]
-    umax = float(np.max(np.abs(sol.u)))
-    first_finite = abs(u0) > U_ZERO_TOL * umax and not sol.singular_times
-    first_value = abs(sol.u[-1] / u0) if abs(u0) > U_ZERO_TOL * umax else math.inf
-
-    def second_integral(s: HjbSolution) -> np.ndarray:
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            integrand = s.u[-1] * s.v / np.square(s.u)[:, None]
-        return np.trapezoid(integrand, s.t, axis=0)
-
-    i1 = second_integral(sol)
-    i2 = second_integral(sol2)
-    second_finite = bool(np.all(np.isfinite(i1)) and np.all(np.isfinite(i2)))
-    if second_finite:
-        scale = max(float(np.linalg.norm(i2)), 1e-12)
-        second_finite = float(np.linalg.norm(i2 - i1)) <= 0.10 * scale
-    if abs(u0) <= U_ZERO_TOL * umax:
-        second_finite = False
-
+    u0_zero = u0_vanishes(sol.u)
+    focal = bool(sol.singular_times)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        integrand = sol.u[-1] * sol.v / np.square(sol.u)[:, None]
     return ConditionReport(
-        a_int_first_finite=bool(first_finite),
-        a_int_first_value=float(first_value),
-        a_int_second_finite=second_finite,
-        a_int_second_value=tuple(float(x) for x in i2),
+        a_int_first_finite=not (u0_zero or focal),
+        a_int_first_value=math.inf if u0_zero else float(abs(sol.u[-1] / sol.u[0])),
+        a_int_second_finite=not u0_zero and (not focal or _v_vanishes(sol.v)),
+        a_int_second_value=tuple(float(x) for x in np.trapezoid(integrand, sol.t, axis=0)),
         singular_times=sol.singular_times,
     )
 

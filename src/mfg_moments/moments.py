@@ -34,9 +34,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConvergenceError, FormulaValidationError, ScenarioError, SingularityError
+from .errors import ConvergenceError, FormulaValidationError, ScenarioError
 from .hermite import Hermite, uniform_step
-from .hjb import HjbSolution, _linearize, solve_backward
+from .hjb import HjbSolution, _linearize, nonzero_u0, solve_backward
 from .model import InitialLaw, ScenarioSpec, eval_scalar_grid, eval_vector_grid, jump_moments
 from .ode import rk4_linear
 from .table import read_table, write_table
@@ -105,7 +105,7 @@ def fundamental_path(sol: HjbSolution, spec: ScenarioSpec) -> MomentPath:
     t = sol.t
     N = len(t) - 1
     n = spec.n
-    u0 = _nonzero_u0(sol.u)
+    u0 = nonzero_u0(sol.u)
     lam_M1 = spec.lam * jump_moments(spec.jump)[0] if spec.lam > 0 else np.zeros(n)
     K = variance_rate(spec)
 
@@ -140,7 +140,7 @@ def _flow_factors(lin, literal: bool = False):
     """``(r, r', r'')``, ``r = u/u(0)``, at a solution's or linearizer's nodes; (1, 0, 0) in literal mode."""
     if literal:
         return 1.0, 0.0, 0.0
-    u0 = _nonzero_u0(lin.u)
+    u0 = nonzero_u0(lin.u)
     return lin.u / u0, lin.udot / u0, lin.uddot / u0
 
 
@@ -171,13 +171,6 @@ def propagate_moments(sol: HjbSolution, spec: ScenarioSpec, literal_init: bool =
     path.residual_V = rep.rV
     path.residual_V_note = rep.note
     return path
-
-
-def _nonzero_u0(u: np.ndarray) -> float:
-    """u(0), which the forward flow divides by; ``SingularityError`` where it vanishes."""
-    if abs(u[0]) < 1e-9 * float(np.max(np.abs(u))):
-        raise SingularityError("condition (A_int) violated: u(0) = 0")
-    return u[0]
 
 
 @dataclass(frozen=True)

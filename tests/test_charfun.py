@@ -374,7 +374,7 @@ class TestCharfunProperties:
             both = ev.eval_charfun_via_moments(t, np.concatenate([omega[chunk], -omega[chunk]]))
             mhat[(n_x - chunk) % n_x] = both[chunk.size :]
             mhat[chunk] = both[: chunk.size]
-        mhat[keep] *= ev._initial_factor(t, omega[keep, None], None)
+        mhat[keep] *= ev._initial_factor(t, omega[keep, None])
         ref = np.fft.ifft(mhat * np.exp(1j * omega * grid.x[0])).real / (grid.x[1] - grid.x[0])
         assert np.array_equal(grid.m, ref)
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 
@@ -345,14 +346,75 @@ class TestCheckConditions:
         # e^{2 int A} = 1/cos(2T) here
         assert rep.a_int_first_value == pytest.approx(1.0 / math.cos(math.pi / 4), rel=1e-8)
 
-    def test_meanfield_solution_is_refined_with_its_own_coupling(self):
+    def test_meanfield_report_equals_an_explicit_solve_with_its_coupling(self):
         spec = make_spec(a=0.2, meanfield={"b0": 0.2, "b1": 0.3, "b2": 0}, A_T=-0.1, B_T=0.1,
                          delta=0.4, x0=1.0)
         sol = solve_meanfield_fixedpoint(spec, N=512).sol
         rep = check_conditions(sol, spec)
         assert rep.a_int_first_finite and rep.a_int_second_finite
-        ref = check_conditions(solve_backward(spec, 512, b_override=sol.b_fn), spec)
-        assert rep.a_int_second_value == ref.a_int_second_value
+        assert rep == check_conditions(solve_backward(spec, 512, b_override=sol.b_fn), spec)
+
+    @pytest.mark.parametrize("N", [512, 1024, 2048])
+    def test_focal_time_with_nonzero_v_diverges_on_every_grid(self, N):
+        # v = B_T everywhere; u has one zero near t = 1.8128
+        spec = make_spec(a=-0.004, c=0.1, A_T=1.2536, B_T=0.985, T=2.2118, delta=0.4)
+        rep = check_conditions(solve_backward(spec, N), spec)
+        assert len(rep.singular_times) == 1
+        assert rep.singular_times[0] == pytest.approx(1.8128, abs=1e-4)
+        assert not rep.a_int_first_finite and not rep.a_int_second_finite
+
+    def test_focal_time_with_vanishing_v_keeps_the_second_integral(self):
+        # a = 0, A_T = 1: u(t) = 1 - 2(T - t) vanishes at T - 1/2, between nodes
+        spec = make_spec(a=0.0, A_T=1.0, T=1.1, delta=0.5)
+        rep = check_conditions(solve_backward(spec, 1024), spec)
+        assert rep.singular_times == (pytest.approx(0.6, abs=1e-12),)
+        assert not rep.a_int_first_finite and rep.a_int_second_finite
+        assert rep.a_int_second_value == (0.0,)
+
+    def test_focal_time_on_a_node_is_located(self):
+        # T = 1: the zero t = 1/2 is node 512, where u is exactly 0.0
+        spec = make_spec(a=0.0, b=0.3, A_T=1.0, T=1.0)
+        sol = solve_backward(spec, 1024)
+        assert sol.u[512] == 0.0
+        rep = check_conditions(sol, spec)
+        assert rep.singular_times == (0.5,)
+        assert not rep.a_int_first_finite and not rep.a_int_second_finite
+
+    @given(a=st.floats(-2.0, 3.0), A_T=st.floats(-1.0, 1.5), T=st.floats(0.3, 3.5),
+           b=st.just(0.0) | st.floats(-1.0, 1.0), B_T=st.just(0.0) | st.floats(-1.0, 1.0))
+    @settings(max_examples=30, deadline=None)
+    def test_flags_do_not_depend_on_the_grid(self, a, A_T, T, b, B_T):
+        spec = make_spec(a=a, b=b, A_T=A_T, B_T=B_T, T=T)
+        coarse, fine = (check_conditions(solve_backward(spec, N), spec) for N in (512, 2048))
+        assert coarse.a_int_first_finite == fine.a_int_first_finite
+        assert coarse.a_int_second_finite == fine.a_int_second_finite
+
+    def test_makes_no_backward_solve(self, monkeypatch):
+        spec = make_spec(a=2.0, b=0.3, B_T=1.0, T=math.pi)
+        sol = solve_backward(spec, N=512)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("check_conditions solved the backward system again")
+
+        monkeypatch.setattr(hjb, "solve_backward", refuse)
+        rep = check_conditions(sol, spec)
+        assert not rep.a_int_first_finite and not rep.a_int_second_finite
+
+    @pytest.mark.parametrize("gap,vanishes", [(1e-10, True), (1e-6, False)])
+    def test_u0_rule_is_the_moment_map_s(self, gap, vanishes):
+        # a = 0, A_T = 1/2: u(t) = 1 - (T - t), so u(0) = gap
+        spec = make_spec(a=0.0, b=0.2, A_T=0.5, B_T=0.1, T=1.0 - gap)
+        sol = solve_backward(spec, N=1024)
+        rep = check_conditions(sol, spec)
+        assert rep.singular_times == ()
+        assert rep.a_int_first_finite is rep.a_int_second_finite is not vanishes
+        if vanishes:
+            assert rep.a_int_first_value == math.inf
+            with pytest.raises(SingularityError, match="u\\(0\\) = 0"):
+                propagate_moments(sol, spec)
+        else:
+            assert rep.a_int_first_value == pytest.approx(1.0 / gap, rel=1e-6)
+            assert np.all(np.isfinite(propagate_moments(sol, spec).E))
 
     def test_long_horizon_detects_singularities(self):
         spec = make_spec(a=2.0, b=0.3, B_T=1.0, A_T=0.0, T=math.pi)
