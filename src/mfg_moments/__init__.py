@@ -70,7 +70,6 @@ from .recover import (
     classify_branch,
     evaluate_fit,
     fit_parameters,
-    params_from_dict,
     series_from_csv,
     series_to_csv,
 )

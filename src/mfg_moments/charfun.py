@@ -63,6 +63,8 @@ _MAX_QUAD_NODES = 1 << 16
 # of anything under about -745 is exactly 0.0, and the margin covers the
 # difference between the bound's S and its quadrature.
 _LOG_UNDERFLOW = -800.0
+# Frequency step of moment_via_charfun's 5-point stencils.
+_STENCIL_STEP = 1e-3
 
 
 @dataclass
@@ -131,6 +133,7 @@ class CharFunEvaluator:
         self.fundamental = fundamental
         self.M = M
         if spec.lam > 0:
+            # Q's Gaussian correction needs the raw moments, not lambda times them.
             self._M1, self._M2 = jump_moments(spec.jump)
             if spec.n > 1:
                 mat = jump_second_moment_matrix(spec.jump)
@@ -140,8 +143,6 @@ class CharFunEvaluator:
                         "characteristic-function evaluation for dimension > 1 requires an "
                         "isotropic jump second-moment matrix"
                     )
-        else:
-            self._M1, self._M2 = np.zeros(spec.n), 0.0
 
     @classmethod
     def from_scenario(cls, spec: ScenarioSpec, N: int = 4096, M: int = 512) -> "CharFunEvaluator":
@@ -279,14 +280,14 @@ class CharFunEvaluator:
         """Upper bound -delta^2 w^2 S / 2 on log |m_hat(t, w)| in one dimension.
 
         S = int_0^t weight(t, eta)^2 d eta is read off the fundamental
-        variance, V_fund(t) = (delta^2 + lambda M2) S.  The bound is 0
+        variance, V_fund(t) = K S with the variance rate K.  The bound is 0
         (no information) when delta = 0.
         """
         omega = np.asarray(omega, float)
         delta2 = self.spec.delta**2
         if delta2 == 0.0:
             return np.zeros(omega.shape)
-        S = float(self.fundamental.V_at(t)) / (delta2 + self.spec.lam * self._M2)
+        S = float(self.fundamental.V_at(t)) / self.fundamental.K
         return -0.5 * delta2 * S * omega * omega
 
     def solution_moments(self, t: float) -> tuple[np.ndarray, float]:
@@ -333,9 +334,10 @@ class CharFunEvaluator:
 
         x = np.linspace(x_lo, x_hi, n_x, endpoint=False)
         dx = x[1] - x[0]
-        omega = 2.0 * math.pi * np.fft.fftfreq(n_x, d=dx)
         # A subnormal t gives finite frequencies whose squares overflow; a zero
         # spacing gives non-finite ones, which the mass check below rejects.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            omega = 2.0 * math.pi * np.fft.fftfreq(n_x, d=dx)
         w_max = float(np.max(np.abs(omega)))
         if math.isfinite(w_max) and not math.isfinite(w_max * w_max):
             raise GridResolutionError(f"density grid at t={t:.6g} is too narrow: its largest "
@@ -351,7 +353,8 @@ class CharFunEvaluator:
             mhat[chunk] = self.eval_charfun_via_moments(t, omega[chunk])
         mhat[half] *= self._initial_factor(t, omega[half, None])
         mhat[mirror] = np.conj(mhat[n_x - mirror])
-        m = np.fft.ifft(mhat * np.exp(1j * omega * x_lo)).real / dx
+        with np.errstate(divide="ignore", invalid="ignore"):
+            m = np.fft.ifft(mhat * np.exp(1j * omega * x_lo)).real / dx
 
         mass = float(np.trapezoid(m, x))
         if not abs(mass - 1.0) <= 1e-3:
@@ -360,12 +363,13 @@ class CharFunEvaluator:
         var_out = float(np.trapezoid((x - mean_out) ** 2 * m, x))
         return DensityGrid(t=t, x=x, m=m, mass=mass, mean=mean_out, variance=var_out)
 
-    def moment_via_charfun(self, t: float, k: int, h: float = 1e-3) -> float:
+    def moment_via_charfun(self, t: float, k: int) -> float:
         """k-th raw moment (k in 1..4) from 5-point stencils of m_hat at omega 0."""
         if self.spec.n != 1:
             raise ScenarioError("moment extraction supports dimension 1 only")
         if k not in (1, 2, 3, 4):
             raise ScenarioError("moment order must be 1..4")
+        h = _STENCIL_STEP
         w = np.array([-2 * h, -h, 0.0, h, 2 * h])
         f = np.asarray(self.eval_solution_charfun(t, w))
         if k == 1:

@@ -21,7 +21,8 @@ repeats only the second.
 
 Off-grid values come from cubic Hermite interpolants (``hermite``) built
 from the solver's own derivatives: u from u', u' from ``u'' = -2 a(t) u``
-and v from ``v' = -lambda M1 u' - b u``.  Focal times are the zeros of
+and v from ``v' = -lambda M1 u' - b u``; lambda M1 and lambda M2 are the
+spec's ``lam_M1`` and ``lam_M2``.  Focal times are the zeros of
 the u cubic, found by safeguarded Newton steps inside each sign change.
 ``check_conditions`` decides both integrability conditions from them,
 from u(0) and from whether v vanishes, without solving again.
@@ -42,7 +43,6 @@ from .model import (
     ScenarioSpec,
     eval_scalar_grid,
     eval_vector_grid,
-    jump_moments,
     scalar_fn,
     vector_fn,
 )
@@ -155,8 +155,6 @@ def solve_backward(spec: ScenarioSpec, N: int = 4096, b_override=None) -> HjbSol
     else:
         b_fn = vector_fn(spec.cost.b, n)
 
-    lam = spec.lam
-    M2 = jump_moments(spec.jump)[1] if lam > 0 else 0.0
     t_grid, th, h, u, udot = lin.t, lin.th, lin.h, lin.u, lin.udot
     b_grid = eval_vector_grid(b_fn, th, n, "b")
     c_grid = eval_scalar_grid(c_fn, th, "c")
@@ -168,7 +166,7 @@ def solve_backward(spec: ScenarioSpec, N: int = 4096, b_override=None) -> HjbSol
         A_h = lin.udot_h / (2.0 * uz)
         B_h = Hermite(t_grid, v, vdot)(th) / uz[:, None]
         Cdot_h = (-c_grid - 0.5 * np.sum(B_h * B_h, axis=1) - n * spec.delta**2 * A_h
-                  - lam * M2 * A_h - B_h @ lin.lam_M1)
+                  - spec.lam_M2 * A_h - B_h @ lin.lam_M1)
         C = spec.terminal.C_T + cumsimpson(Cdot_h[::-1], -h)[::-1]
 
     # Derived quantities with non-finite markers at zeros of u.
@@ -179,7 +177,7 @@ def solve_backward(spec: ScenarioSpec, N: int = 4096, b_override=None) -> HjbSol
 
     singular = lin.singular_times
     if singular:
-        tainted = spec.delta > 0 or lam > 0 or not _v_vanishes(v)
+        tainted = spec.delta > 0 or spec.lam > 0 or not _v_vanishes(v)
         if tainted:
             C = np.where(t_grid < max(singular) + 0.5 * h, np.nan, C)
 
@@ -236,8 +234,6 @@ def _linearize(spec: ScenarioSpec, N: int) -> _Linearizer:
     if N < 100:
         raise ScenarioError(f"grid N={N}: must be >= 100")
     a_fn = scalar_fn(spec.cost.a)
-    lam = spec.lam
-    M1 = jump_moments(spec.jump)[0] if lam > 0 else np.zeros(spec.n)
     T = spec.T
     h = T / N
     th = np.linspace(0.0, T, 2 * N + 1)
@@ -251,7 +247,7 @@ def _linearize(spec: ScenarioSpec, N: int) -> _Linearizer:
     return _Linearizer(
         t=t, th=th, h=h, a_fn=a_fn, a_grid=a_grid, u=u, udot=udot, uddot=uddot,
         u_h=Hermite(t, u, udot)(th), udot_h=Hermite(t, udot, uddot)(th),
-        lam_M1=lam * np.asarray(M1, float), B_T=np.asarray(spec.terminal.B_T, float),
+        lam_M1=spec.lam_M1, B_T=np.asarray(spec.terminal.B_T, float),
         singular_times=tuple(_locate_zeros(t, u, udot)),
     )
 
@@ -361,17 +357,24 @@ def check_conditions(sol: HjbSolution, spec: ScenarioSpec) -> ConditionReport:
     time or v vanishes identically (``max|v| <= 1e-12``).  A v that vanishes
     at a focal time but not everywhere is a coincidence no grid resolves,
     and counts as divergent.  ``a_int_second_value`` is the trapezoid of
-    the integrand on ``sol``'s grid.  ``spec`` is not read.
+    the integrand on ``sol``'s grid, and 0.0 per coordinate when v vanishes
+    (the integrand is then zero, also at a zero of u on a node).  ``spec``
+    is not read.
     """
     u0_zero = u0_vanishes(sol.u)
     focal = bool(sol.singular_times)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        integrand = sol.u[-1] * sol.v / np.square(sol.u)[:, None]
+    v_zero = _v_vanishes(sol.v)
+    if v_zero:
+        second = (0.0,) * sol.n
+    else:
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            integrand = sol.u[-1] * sol.v / np.square(sol.u)[:, None]
+        second = tuple(float(x) for x in np.trapezoid(integrand, sol.t, axis=0))
     return ConditionReport(
         a_int_first_finite=not (u0_zero or focal),
         a_int_first_value=math.inf if u0_zero else float(abs(sol.u[-1] / sol.u[0])),
-        a_int_second_finite=not u0_zero and (not focal or _v_vanishes(sol.v)),
-        a_int_second_value=tuple(float(x) for x in np.trapezoid(integrand, sol.t, axis=0)),
+        a_int_second_finite=not u0_zero and (not focal or v_zero),
+        a_int_second_value=second,
         singular_times=sol.singular_times,
     )
 
@@ -410,10 +413,9 @@ def hjb_from_csv(text: str, spec: ScenarioSpec | None = None) -> HjbSolution:
     a_fn = b_fn = _no_coefficient
     if spec is not None and spec.cost.b.kind != "meanfield":
         a_fn, b_fn = scalar_fn(spec.cost.a), vector_fn(spec.cost.b, n)
-        lam_M1 = spec.lam * jump_moments(spec.jump)[0] if spec.lam > 0 else np.zeros(n)
         a_nodes = eval_scalar_grid(a_fn, t, "a")
         b_nodes = eval_vector_grid(b_fn, t, n, "b")
-        slopes = {"uddot": -2.0 * a_nodes * u, "vdot": _vdot(b_nodes, lam_M1, u, udot)}
+        slopes = {"uddot": -2.0 * a_nodes * u, "vdot": _vdot(b_nodes, spec.lam_M1, u, udot)}
     else:
         slopes = {
             "uddot": np.gradient(udot, t, edge_order=2),

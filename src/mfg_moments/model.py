@@ -2,9 +2,12 @@
 
 A :class:`ScenarioSpec` bundles everything a solve needs: the quadratic
 running cost, the quadratic terminal cost, diffusion and jump noise levels,
-the jump-size law, the horizon and the initial law.  Jump laws expose exact
-first and second moments, their characteristic function, and seeded
-sampling.
+the jump-size law, the horizon and the initial law.  Every jump law draws
+its coordinates independently, so its exact first and second moments are
+per-coordinate pairs ``(E[Z_i], E[Z_i^2])``; laws also expose their
+characteristic function and seeded sampling.  The moment equations see the
+jump law only through the spec's ``lam_M1`` (lambda E[Z]) and ``lam_M2``
+(lambda E|Z|^2).
 
 Sign convention, fixed repo-wide: the characteristic function of a density
 ``p`` is ``p_hat(w) = integral exp(-i w . z) p(z) dz``.
@@ -26,13 +29,15 @@ _COST_KEYS = {"a", "b", "c", "meanfield"}
 _TERMINAL_KEYS = {"A_T", "B_T", "C_T"}
 _INITIAL_KEYS = {"kind", "x0", "v0"}
 _JUMP_KEYS = {"type", "params"}
-_JUMP_TYPES = {"none", "point", "gaussian", "uniform", "exponential"}
-_JUMP_PARAM_KEYS = {
-    "point": {"z0"},
-    "gaussian": {"mu", "sigma"},
-    "uniform": {"lo", "hi"},
-    "exponential": {"rate"},
+# Each law's parameters: name -> (default, per coordinate?).  A per-coordinate
+# parameter is a vector of the scenario's dimension, the others are scalars.
+_JUMP_PARAMS = {
+    "point": {"z0": (0.0, True)},
+    "gaussian": {"mu": (0.0, True), "sigma": (1.0, False)},
+    "uniform": {"lo": (0.0, True), "hi": (1.0, True)},
+    "exponential": {"rate": (1.0, False)},
 }
+_JUMP_TYPES = {"none", *_JUMP_PARAMS}
 
 
 def _number(value, key: str) -> float:
@@ -53,6 +58,11 @@ def _vector(value, n: int, key: str) -> tuple[float, ...]:
     return (_number(value, key),) * n
 
 
+def _coordinates(value) -> tuple[float, ...]:
+    """A number or an array-like as a tuple of coordinates, for the factories."""
+    return tuple(np.atleast_1d(np.asarray(value, float)))
+
+
 def _check_keys(doc: dict, allowed: set, where: str) -> None:
     unknown = set(doc) - allowed
     if unknown:
@@ -65,15 +75,18 @@ def _check_keys(doc: dict, allowed: set, where: str) -> None:
 
 @dataclass(frozen=True)
 class JumpDistribution:
-    """Jump-size law; one of point / gaussian / uniform / exponential.
+    """Jump-size law on R^n; one of point / gaussian / uniform / exponential.
 
-    All variants have finite first and second moments.  ``gaussian`` puts an
-    independent normal with standard deviation ``sigma`` on each coordinate,
-    centered at ``mu``.  ``uniform`` is componentwise on ``[lo, hi]``.
-    ``exponential`` is one-sided per coordinate with the given rate.
+    All variants have finite first and second moments and independent
+    coordinates.  ``gaussian`` puts an independent normal with standard
+    deviation ``sigma`` on each coordinate, centered at ``mu``.  ``uniform``
+    is componentwise on ``[lo, hi]``.  ``exponential`` is one-sided per
+    coordinate with the given rate.  ``_JUMP_PARAMS`` lists which fields
+    each kind uses.
     """
 
     kind: str
+    n: int
     z0: tuple[float, ...] = ()
     mu: tuple[float, ...] = ()
     sigma: float = 0.0
@@ -83,94 +96,71 @@ class JumpDistribution:
 
     @classmethod
     def point(cls, z0) -> "JumpDistribution":
-        return cls(kind="point", z0=tuple(np.atleast_1d(np.asarray(z0, float))))
+        z0 = _coordinates(z0)
+        return cls(kind="point", n=len(z0), z0=z0)
 
     @classmethod
     def gaussian(cls, mu, sigma: float) -> "JumpDistribution":
-        return cls(kind="gaussian", mu=tuple(np.atleast_1d(np.asarray(mu, float))), sigma=float(sigma))
+        mu = _coordinates(mu)
+        return cls(kind="gaussian", n=len(mu), mu=mu, sigma=float(sigma))
 
     @classmethod
     def uniform(cls, lo, hi) -> "JumpDistribution":
-        return cls(
-            kind="uniform",
-            lo=tuple(np.atleast_1d(np.asarray(lo, float))),
-            hi=tuple(np.atleast_1d(np.asarray(hi, float))),
-        )
+        lo = _coordinates(lo)
+        return cls(kind="uniform", n=len(lo), lo=lo, hi=_coordinates(hi))
 
     @classmethod
     def exponential(cls, rate: float, n: int = 1) -> "JumpDistribution":
-        return cls(kind="exponential", rate=float(rate), z0=(0.0,) * n)
-
-    @property
-    def n(self) -> int:
-        if self.kind == "point" or self.kind == "exponential":
-            return len(self.z0)
-        if self.kind == "gaussian":
-            return len(self.mu)
-        return len(self.lo)
+        return cls(kind="exponential", n=n, rate=float(rate))
 
     def validate(self, n: int) -> None:
-        if self.kind not in _JUMP_TYPES - {"none"}:
+        if self.kind not in _JUMP_PARAMS:
             raise ScenarioError(f"jump: unknown type {self.kind!r}")
         if self.n != n:
             raise ScenarioError(f"jump: dimension {self.n} does not match scenario dimension {n}")
+        for name, (_, per_coordinate) in _JUMP_PARAMS[self.kind].items():
+            if per_coordinate and len(getattr(self, name)) != n:
+                raise ScenarioError(f"jump.{self.kind}: {name} must have length {n}")
         if self.kind == "gaussian" and not self.sigma > 0:
             raise ScenarioError("jump.gaussian: sigma must be > 0")
         if self.kind == "exponential" and not self.rate > 0:
             raise ScenarioError("jump.exponential: rate must be > 0")
-        if self.kind == "uniform":
-            if len(self.hi) != len(self.lo):
-                raise ScenarioError("jump.uniform: lo and hi must have equal length")
-            if not all(l < h for l, h in zip(self.lo, self.hi)):
-                raise ScenarioError("jump.uniform: requires lo < hi componentwise")
+        if self.kind == "uniform" and not all(l < h for l, h in zip(self.lo, self.hi)):
+            raise ScenarioError("jump.uniform: requires lo < hi componentwise")
+
+
+def _coordinate_moments(jump: JumpDistribution | None) -> tuple[np.ndarray, np.ndarray]:
+    """Exact ``(E[Z_i], E[Z_i^2])`` per coordinate, each of shape (n,)."""
+    if jump is None:
+        raise ScenarioError("no jump law")
+    if jump.kind == "point":
+        z0 = np.asarray(jump.z0)
+        return z0.copy(), z0 * z0
+    if jump.kind == "gaussian":
+        mu = np.asarray(jump.mu)
+        return mu.copy(), mu * mu + jump.sigma**2
+    if jump.kind == "uniform":
+        lo = np.asarray(jump.lo)
+        hi = np.asarray(jump.hi)
+        return (lo + hi) / 2.0, (lo * lo + lo * hi + hi * hi) / 3.0
+    if jump.kind == "exponential":
+        r = jump.rate
+        return np.full(jump.n, 1.0 / r), np.full(jump.n, 2.0 / r**2)
+    raise ScenarioError(f"jump: unknown type {jump.kind!r}")
 
 
 def jump_moments(jump: JumpDistribution | None) -> tuple[np.ndarray, float]:
     """Exact first moment vector M1 and total second moment M2 = E|Z|^2."""
-    if jump is None:
-        raise ScenarioError("no jump law")
-    n = jump.n
-    if jump.kind == "point":
-        z0 = np.asarray(jump.z0)
-        return z0.copy(), float(z0 @ z0)
-    if jump.kind == "gaussian":
-        mu = np.asarray(jump.mu)
-        return mu.copy(), float(mu @ mu) + n * jump.sigma**2
-    if jump.kind == "uniform":
-        lo = np.asarray(jump.lo)
-        hi = np.asarray(jump.hi)
-        m2 = float(np.sum((lo * lo + lo * hi + hi * hi) / 3.0))
-        return (lo + hi) / 2.0, m2
-    if jump.kind == "exponential":
-        r = jump.rate
-        return np.full(n, 1.0 / r), n * 2.0 / r**2
-    raise ScenarioError(f"jump: unknown type {jump.kind!r}")
+    m1, m2 = _coordinate_moments(jump)
+    return m1, float(np.sum(m2))
 
 
 def jump_second_moment_matrix(jump: JumpDistribution | None) -> np.ndarray:
-    """The matrix E[Z Z^T]; used for the isotropy checks in n > 1."""
-    if jump is None:
-        raise ScenarioError("no jump law")
-    n = jump.n
-    if jump.kind == "point":
-        z0 = np.asarray(jump.z0)
-        return np.outer(z0, z0)
-    if jump.kind == "gaussian":
-        mu = np.asarray(jump.mu)
-        return np.outer(mu, mu) + jump.sigma**2 * np.eye(n)
-    if jump.kind == "uniform":
-        lo = np.asarray(jump.lo)
-        hi = np.asarray(jump.hi)
-        m1 = (lo + hi) / 2.0
-        mat = np.outer(m1, m1)
-        np.fill_diagonal(mat, (lo * lo + lo * hi + hi * hi) / 3.0)
-        return mat
-    if jump.kind == "exponential":
-        r = jump.rate
-        mat = np.full((n, n), 1.0 / r**2)
-        np.fill_diagonal(mat, 2.0 / r**2)
-        return mat
-    raise ScenarioError(f"jump: unknown type {jump.kind!r}")
+    """The matrix E[Z Z^T]: E[Z_i] E[Z_j] off the diagonal, as the coordinates are independent."""
+    m1, m2 = _coordinate_moments(jump)
+    mat = np.outer(m1, m1)
+    np.fill_diagonal(mat, m2)
+    return mat
 
 
 def jump_charfn_batch(jump: JumpDistribution | None, R: np.ndarray) -> np.ndarray:
@@ -260,7 +250,7 @@ class Coefficient:
 
     @classmethod
     def const(cls, value) -> "Coefficient":
-        return cls(kind="const", values=tuple(np.atleast_1d(np.asarray(value, float))))
+        return cls(kind="const", values=_coordinates(value))
 
     @classmethod
     def poly(cls, coeffs) -> "Coefficient":
@@ -268,12 +258,7 @@ class Coefficient:
 
     @classmethod
     def meanfield(cls, b0, b1: float, b2: float) -> "Coefficient":
-        return cls(
-            kind="meanfield",
-            b0=tuple(np.atleast_1d(np.asarray(b0, float))),
-            b1=float(b1),
-            b2=float(b2),
-        )
+        return cls(kind="meanfield", b0=_coordinates(b0), b1=float(b1), b2=float(b2))
 
 
 def scalar_fn(coef: Coefficient) -> Callable[[np.ndarray], np.ndarray]:
@@ -367,6 +352,20 @@ class ScenarioSpec:
     def x0(self) -> np.ndarray:
         return np.asarray(self.initial.x0, float)
 
+    @property
+    def lam_M1(self) -> np.ndarray:
+        """The jumps' drift lambda E[Z], shape (n,); zeros when lambda = 0."""
+        if self.lam > 0:
+            return self.lam * jump_moments(self.jump)[0]
+        return np.zeros(self.n)
+
+    @property
+    def lam_M2(self) -> float:
+        """lambda E|Z|^2, the jumps' share of the variance rate; 0.0 when lambda = 0."""
+        if self.lam > 0:
+            return self.lam * jump_moments(self.jump)[1]
+        return 0.0
+
 
 def validate_scenario(spec: ScenarioSpec) -> ScenarioSpec:
     """Enforce every scenario invariant; returns the spec for chaining."""
@@ -412,8 +411,8 @@ def validate_scenario(spec: ScenarioSpec) -> ScenarioSpec:
         raise ScenarioError("initial: v0 = 0 exactly when kind is dirac")
     if spec.lam > 0 and spec.n > 1:
         # Scalar variance dynamics require equal per-coordinate second moments.
-        diag = np.diag(jump_second_moment_matrix(spec.jump))
-        if np.max(np.abs(diag - diag[0])) > 1e-9 * max(1.0, float(diag[0])):
+        m2 = _coordinate_moments(spec.jump)[1]
+        if np.max(np.abs(m2 - m2[0])) > 1e-9 * max(1.0, float(m2[0])):
             raise ScenarioError(
                 "jump: per-coordinate second moments must be equal for dimension > 1"
             )
@@ -466,20 +465,14 @@ def _parse_jump(doc, n: int) -> JumpDistribution | None:
     params = doc.get("params", {})
     if not isinstance(params, dict):
         raise ScenarioError("jump.params: expected an object")
-    _check_keys(params, _JUMP_PARAM_KEYS[kind], "jump.params")
-    if kind == "point":
-        return JumpDistribution.point(_vector(params.get("z0", 0.0), n, "jump.params.z0"))
-    if kind == "gaussian":
-        return JumpDistribution.gaussian(
-            _vector(params.get("mu", 0.0), n, "jump.params.mu"),
-            _number(params.get("sigma", 1.0), "jump.params.sigma"),
-        )
-    if kind == "uniform":
-        return JumpDistribution.uniform(
-            _vector(params.get("lo", 0.0), n, "jump.params.lo"),
-            _vector(params.get("hi", 1.0), n, "jump.params.hi"),
-        )
-    return JumpDistribution.exponential(_number(params.get("rate", 1.0), "jump.params.rate"), n)
+    table = _JUMP_PARAMS[kind]
+    _check_keys(params, set(table), "jump.params")
+    values = {}
+    for name, (default, per_coordinate) in table.items():
+        key = f"jump.params.{name}"
+        value = params.get(name, default)
+        values[name] = _vector(value, n, key) if per_coordinate else _number(value, key)
+    return JumpDistribution(kind=kind, n=n, **values)
 
 
 def scenario_from_dict(doc: dict) -> ScenarioSpec:
@@ -577,13 +570,11 @@ def _serialize_coefficient(coef: Coefficient):
 def _serialize_jump(jump: JumpDistribution | None):
     if jump is None:
         return {"type": "none"}
-    if jump.kind == "point":
-        return {"type": "point", "params": {"z0": list(jump.z0)}}
-    if jump.kind == "gaussian":
-        return {"type": "gaussian", "params": {"mu": list(jump.mu), "sigma": jump.sigma}}
-    if jump.kind == "uniform":
-        return {"type": "uniform", "params": {"lo": list(jump.lo), "hi": list(jump.hi)}}
-    return {"type": "exponential", "params": {"rate": jump.rate}}
+    params = {}
+    for name, (_, per_coordinate) in _JUMP_PARAMS[jump.kind].items():
+        value = getattr(jump, name)
+        params[name] = list(value) if per_coordinate else value
+    return {"type": jump.kind, "params": params}
 
 
 def serialize_scenario(spec: ScenarioSpec) -> dict:

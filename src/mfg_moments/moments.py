@@ -5,7 +5,8 @@ jumps of rate lambda, the expectation solves the regular second-order
 problem ``E'' + 2 a(t) E = -b(t)`` with ``E(0) = x0`` and
 ``E'(0) = 2 A(0) x0 + B(0) + lambda M1``, and the per-coordinate variance
 ``V' = 4 A V + K`` with the production rate ``K = delta^2 + lambda M2 / n``;
-a(t) and b(t) are the ones the backward solution was solved with.
+a(t) and b(t) are the ones the backward solution was solved with, and
+lambda M1 and lambda M2 are the spec's ``lam_M1`` and ``lam_M2``.
 
 Only the fundamental solution, a Dirac mass at 0, is propagated
 (``fundamental_path``): its E columns and the linearizer's partner
@@ -37,9 +38,14 @@ import numpy as np
 from .errors import ConvergenceError, FormulaValidationError, ScenarioError
 from .hermite import Hermite, uniform_step
 from .hjb import HjbSolution, _linearize, nonzero_u0, solve_backward
-from .model import InitialLaw, ScenarioSpec, eval_scalar_grid, eval_vector_grid, jump_moments
+from .model import InitialLaw, ScenarioSpec, eval_scalar_grid, eval_vector_grid
 from .ode import rk4_linear
 from .table import read_table, write_table
+
+# A closed form whose moment-equation residual exceeds this (relative) is rejected.
+_CLOSED_FORM_TOL = 1e-8
+# The mean-field fixed point stops when its expectation increment drops below this.
+_MEANFIELD_TOL = 1e-8
 
 
 @dataclass
@@ -89,11 +95,8 @@ class MomentPath:
 
 
 def variance_rate(spec: ScenarioSpec) -> float:
-    """Per-coordinate variance production rate delta^2 + lambda E[Z_i^2]."""
-    if spec.lam > 0:
-        _, M2 = jump_moments(spec.jump)
-        return spec.delta**2 + spec.lam * M2 / spec.n
-    return spec.delta**2
+    """Per-coordinate variance production rate delta^2 + lambda E|Z|^2 / n."""
+    return spec.delta**2 + spec.lam_M2 / spec.n
 
 
 def fundamental_path(sol: HjbSolution, spec: ScenarioSpec) -> MomentPath:
@@ -106,14 +109,14 @@ def fundamental_path(sol: HjbSolution, spec: ScenarioSpec) -> MomentPath:
     N = len(t) - 1
     n = spec.n
     u0 = nonzero_u0(sol.u)
-    lam_M1 = spec.lam * jump_moments(spec.jump)[0] if spec.lam > 0 else np.zeros(n)
     K = variance_rate(spec)
 
     th = np.linspace(0.0, spec.T, 2 * N + 1)
     a_grid = eval_scalar_grid(sol.a_fn, th, "a")
     b_grid = eval_vector_grid(sol.b_fn, th, n, "b")
     forcing = np.hstack([-b_grid, np.zeros((2 * N + 1, 1))])
-    y, yp = rk4_linear(a_grid, forcing, np.zeros(n + 1), (*(sol.v[0] / u0 + lam_M1), 1.0 / u0), t[1] - t[0])
+    slope0 = (*(sol.v[0] / u0 + spec.lam_M1), 1.0 / u0)
+    y, yp = rk4_linear(a_grid, forcing, np.zeros(n + 1), slope0, t[1] - t[0])
     E, psi = y[:, :n], y[:, n]
     return MomentPath(t=t, E=E, E_prime=yp[:, :n], E_second=-2.0 * a_grid[::2, None] * E - b_grid[::2],
                       V=K * sol.u * psi, V_prime=K * (sol.udot * psi + sol.u * yp[:, n]), K=K)
@@ -311,7 +314,6 @@ def closed_form_moments_const(
     K: float,
     init: dict,
     t_span: float = 1.0,
-    validate_tol: float = 1e-8,
 ) -> ClosedFormMoments:
     """Fit the closed-form constants from initial data and validate them.
 
@@ -359,7 +361,7 @@ def closed_form_moments_const(
             V2 = (V0p**2 - K**2) / (4.0 * V0)
         form = ClosedFormMoments(branch, a, b, K, E0p, E0, V0p, V2, V0)
 
-    _validate_closed_form(form, t_span, validate_tol)
+    _validate_closed_form(form, t_span, _CLOSED_FORM_TOL)
     return form
 
 
@@ -396,7 +398,6 @@ class MeanFieldSolution:
 def solve_meanfield_fixedpoint(
     spec: ScenarioSpec,
     N: int = 4096,
-    tol: float = 1e-8,
     max_iter: int = 200,
 ) -> MeanFieldSolution:
     """Damped Picard iteration for the mean-field coupled slope b(t).
@@ -456,11 +457,11 @@ def solve_meanfield_fixedpoint(
         E_new, Ep_new = _mean_image(r, spec.x0, E_f), _mean_image(rp, spec.x0, Ep_f)
         Epp_new = _mean_image(rpp, spec.x0, -2.0 * a_nodes * E_f - b_grid[::2])
         # Converged when consecutive map outputs agree or the damped
-        # increment drops below tol, whichever happens first.
+        # increment drops below _MEANFIELD_TOL, whichever happens first.
         delta = 0.5 * float(np.max(np.abs(E_new - E)))
         if E_map_prev is not None:
             delta = min(delta, float(np.max(np.abs(E_new - E_map_prev))))
-        if delta < tol:
+        if delta < _MEANFIELD_TOL:
             E, Ep, Epp = E_new, Ep_new, Epp_new
             break
         E_map_prev = E_new

@@ -141,26 +141,6 @@ class RecoveredParams:
         }
 
 
-def params_from_dict(doc: dict) -> RecoveredParams:
-    """Inverse of :meth:`RecoveredParams.to_dict`."""
-    return RecoveredParams(
-        branch=doc["branch"],
-        a=float(doc["a"]),
-        b=np.asarray(doc["b"], float),
-        K=float(doc["K"]),
-        C1=np.asarray(doc["C1"], float),
-        C2=np.asarray(doc["C2"], float),
-        C1_V=float(doc["C1_V"]),
-        C2_V=float(doc["C2_V"]),
-        v_const=float(doc["v_const"]),
-        rms_residual_E=float(doc["rms_residual_E"]),
-        rms_residual_V=float(doc["rms_residual_V"]),
-        cov_ab=np.asarray(doc["cov_ab"], float),
-        identifiable=bool(doc["identifiable"]),
-        nu=float(doc.get("nu", 0.0)),
-    )
-
-
 def _design(branch: str, nu: float, t: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore"):
         if branch == "oscillatory":

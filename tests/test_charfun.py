@@ -167,9 +167,10 @@ class TestDensityInversion:
         with pytest.raises(ScenarioError, match="finite"):
             ev.invert_density(1.0, n_x=256, **bound)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_nan_mass_is_rejected(self):
         # sd ~ 1e-50 around x0 = 0.2 is below the spacing of floats there, so
-        # dx = 0 and the mass is NaN
+        # dx = 0 and the mass is NaN, with no warning on the way
         ev = evaluator(make_spec(delta=1.0, x0=0.2))
         with pytest.raises(GridResolutionError, match="mass nan"):
             ev.invert_density(1e-100, n_x=64)

@@ -363,11 +363,13 @@ class TestCheckConditions:
         assert rep.singular_times[0] == pytest.approx(1.8128, abs=1e-4)
         assert not rep.a_int_first_finite and not rep.a_int_second_finite
 
-    def test_focal_time_with_vanishing_v_keeps_the_second_integral(self):
-        # a = 0, A_T = 1: u(t) = 1 - 2(T - t) vanishes at T - 1/2, between nodes
-        spec = make_spec(a=0.0, A_T=1.0, T=1.1, delta=0.5)
+    @pytest.mark.parametrize("T", [1.1, 1.0])
+    def test_focal_time_with_vanishing_v_keeps_the_second_integral(self, T):
+        # a = 0, A_T = 1: u(t) = 1 - 2(T - t) vanishes at T - 1/2; at T = 1 that
+        # is node 512, where u is exactly 0.0 and the integrand 0/0
+        spec = make_spec(a=0.0, A_T=1.0, T=T, delta=0.5)
         rep = check_conditions(solve_backward(spec, 1024), spec)
-        assert rep.singular_times == (pytest.approx(0.6, abs=1e-12),)
+        assert rep.singular_times == (pytest.approx(T - 0.5, abs=1e-12),)
         assert not rep.a_int_first_finite and rep.a_int_second_finite
         assert rep.a_int_second_value == (0.0,)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -6,6 +7,7 @@ import pytest
 from scipy.integrate import quad
 
 from mfg_moments import (
+    Coefficient,
     JumpDistribution,
     ScenarioError,
     jump_charfn,
@@ -16,9 +18,11 @@ from mfg_moments import (
     scenario_from_dict,
     scenario_to_json,
     serialize_scenario,
+    validate_scenario,
 )
+from mfg_moments.model import jump_second_moment_matrix
 
-from conftest import make_doc
+from conftest import make_doc, make_spec
 
 MINIMAL = {
     "T": 1,
@@ -41,6 +45,26 @@ LAWS = {
     "uniform": (JumpDistribution.uniform(0.0, 1.0), lambda z: 1.0, (0, 1)),
     "exponential": (JumpDistribution.exponential(2.0), lambda z: 2.0 * math.exp(-2.0 * z), (0, 20)),
 }
+
+# dimension-3 laws, with unequal coordinates where the law has per-coordinate parameters
+LAWS_3D = {
+    "point": JumpDistribution.point([1.0, -0.5, 2.0]),
+    "gaussian": JumpDistribution.gaussian([0.5, -1.0, 0.0], 0.8),
+    "uniform": JumpDistribution.uniform([0.0, -1.0, 0.5], [1.0, 2.0, 0.75]),
+    "exponential": JumpDistribution.exponential(2.0, 3),
+}
+
+# every law at n = 1 and at n = 3 (equal per-coordinate second moments), as documents
+JUMP_DOCS = [
+    make_doc(lam=0.8, jump={"type": "point", "params": {"z0": -0.3}}),
+    make_doc(lam=0.8, jump={"type": "gaussian", "params": {"mu": 0.1}}),
+    make_doc(lam=0.8, jump={"type": "uniform", "params": {"lo": -0.5, "hi": 1.5}}),
+    make_doc(lam=0.8, jump={"type": "exponential", "params": {}}),
+    make_doc(n=3, lam=0.8, jump={"type": "point", "params": {"z0": [0.5, -0.5, 0.5]}}),
+    make_doc(n=3, lam=0.8, jump={"type": "gaussian", "params": {"mu": [0.2, -0.2, 0.2], "sigma": 0.7}}),
+    make_doc(n=3, lam=0.8, jump={"type": "uniform", "params": {"lo": [0.0, -1.0, 0.0], "hi": [1.0, 0.0, 1.0]}}),
+    make_doc(n=3, lam=0.8, jump={"type": "exponential", "params": {"rate": 2.5}}),
+]
 
 
 class TestParsing:
@@ -106,12 +130,40 @@ class TestParsing:
         make_doc(meanfield={"b0": 0.1, "b1": 1.0, "b2": 0.5}, x0=1.0),
         make_doc(lam=0.5, jump={"type": "exponential", "params": {"rate": 3.0}}),
         {**MINIMAL, "cost": {"a": {"poly": [0, 1, 2]}, "b": 0, "c": 0}},
+        *JUMP_DOCS,
     ])
     def test_parse_serialize_parse_identity(self, doc):
         spec = scenario_from_dict(doc)
         again = parse_scenario(scenario_to_json(spec))
         assert again == spec
         assert serialize_scenario(again) == serialize_scenario(spec)
+
+
+def _replacing(part: str, **changes):
+    """Replace fields of one part of a spec (terminal, initial, cost or jump)."""
+    return lambda spec: dataclasses.replace(spec, **{part: dataclasses.replace(getattr(spec, part), **changes)})
+
+
+class TestValidateScenario:
+    """Invariants of a spec built without parsing, as ``dataclasses.replace`` does."""
+
+    @pytest.fixture
+    def spec(self):
+        return make_spec(n=2, lam=1.0, jump={"type": "uniform", "params": {"lo": [0.0, 0.0], "hi": [1.0, 1.0]}},
+                         B_T=[0.1, 0.2], x0=[0.3, 0.4])
+
+    @pytest.mark.parametrize("change, match", [
+        pytest.param(_replacing("terminal", B_T=(0.1,)), "terminal.B_T", id="B_T_length"),
+        pytest.param(_replacing("initial", x0=(0.3,)), "initial.x0", id="x0_length"),
+        pytest.param(_replacing("terminal", A_T=math.inf), "terminal.A_T", id="A_T_not_finite"),
+        pytest.param(_replacing("cost", a=Coefficient.poly([1.0] * 6)), "degree", id="six_coefficients"),
+        pytest.param(_replacing("cost", a=Coefficient.meanfield(0.0, 1.0, 0.0)), "only allowed for b",
+                     id="meanfield_a"),
+        pytest.param(_replacing("jump", hi=(1.0, 2.0)), "second moments", id="unequal_second_moments"),
+    ])
+    def test_invariant_is_enforced(self, spec, change, match):
+        with pytest.raises(ScenarioError, match=match):
+            validate_scenario(change(spec))
 
 
 class TestJumpMoments:
@@ -141,6 +193,28 @@ class TestJumpMoments:
     def test_none_variant_errors(self):
         with pytest.raises(ScenarioError, match="no jump law"):
             jump_moments(None)
+
+    def test_spec_reads_lambda_times_the_moments(self):
+        spec = make_spec(lam=2.0, jump={"type": "gaussian", "params": {"mu": 0.5, "sigma": 2.0}})
+        assert spec.lam_M1.tolist() == [1.0] and spec.lam_M2 == 2.0 * 4.25
+        idle = make_spec(n=2, jump={"type": "point", "params": {"z0": [1.0, -1.0]}})
+        assert idle.lam_M1.tolist() == [0.0, 0.0] and idle.lam_M2 == 0.0
+
+
+class TestJumpSecondMomentMatrix:
+    @pytest.mark.parametrize("name", list(LAWS_3D))
+    def test_matches_the_sample_second_moments(self, name):
+        jump = LAWS_3D[name]
+        z = sample_jumps(jump, np.random.default_rng(2026), 2 * 10**5)
+        products = z[:, :, None] * z[:, None, :]
+        se = products.std(axis=0, ddof=1) / math.sqrt(len(z))
+        mat = jump_second_moment_matrix(jump)
+        assert np.all(np.abs(products.mean(axis=0) - mat) <= 5 * np.maximum(se, 1e-12))
+
+    @pytest.mark.parametrize("name", list(LAWS_3D))
+    def test_trace_is_the_total_second_moment(self, name):
+        jump = LAWS_3D[name]
+        assert np.trace(jump_second_moment_matrix(jump)) == jump_moments(jump)[1]
 
 
 class TestJumpCharfn:

@@ -22,7 +22,7 @@ from mfg_moments import (
 from mfg_moments import hjb, moments
 from mfg_moments.hermite import Hermite
 from mfg_moments.hjb import hjb_from_csv, hjb_to_csv
-from mfg_moments.model import eval_scalar_grid, eval_vector_grid, jump_moments, scenario_from_dict, vector_fn
+from mfg_moments.model import eval_scalar_grid, eval_vector_grid, scenario_from_dict, vector_fn
 from mfg_moments.moments import _validate_closed_form, fundamental_path, variance_rate
 from mfg_moments.ode import rk4_linear
 
@@ -154,8 +154,7 @@ def _direct_propagation(sol, spec):
     th = np.linspace(0.0, spec.T, 2 * N + 1)
     b = eval_vector_grid(sol.b_fn, th, n, "b")
     u0 = sol.u[0]
-    lam_M1 = spec.lam * jump_moments(spec.jump)[0] if spec.lam > 0 else np.zeros(n)
-    Ep0 = sol.udot[0] / u0 * np.asarray(spec.x0) + sol.v[0] / u0 + lam_M1
+    Ep0 = sol.udot[0] / u0 * np.asarray(spec.x0) + sol.v[0] / u0 + spec.lam_M1
     y, _ = rk4_linear(eval_scalar_grid(sol.a_fn, th, "a"), np.hstack([-b, np.zeros((2 * N + 1, 1))]),
                       (*spec.x0, 0.0), (*Ep0, 1.0 / u0), sol.t[1] - sol.t[0])
     return y[:, :n], np.square(sol.u / u0) * spec.initial.v0 + variance_rate(spec) * sol.u * y[:, n]
