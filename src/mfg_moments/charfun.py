@@ -34,10 +34,15 @@ evaluated at -w is the conjugate of its value at w to the bit (a
 standing test), so only the non-negative half of the spectrum is
 evaluated and the rest is its conjugate.
 
-The eta-quadrature is composite Simpson doubled from M nodes until two
-levels agree.  The nodes of level M are every other node of level 2M,
-bit for bit, so a doubling evaluates the integrand only at the M new
-ones and reuses the rest.
+The eta-quadrature is nested Clenshaw-Curtis.  On a focal-free [0, t]
+the integrands are analytic in eta, as are u(t)/u(eta) and every jump
+law's p_hat, so a rule on Chebyshev points converges geometrically
+(Trefethen, SIAM Review 50, 2008).  Level n has the nodes
+eta_j = t sin^2(j pi / 2n), j = 0..n, and level n/2 is its even-indexed
+nodes, bit for bit.  Level M is evaluated first and accepted when it
+agrees with level M/2, read off the same M + 1 values, to 1e-6; a level
+that does not doubles, evaluating the integrand only at its n new odd
+nodes.
 
 E(t) and V(t) between grid nodes come from the fundamental moment path's
 cubic Hermite interpolants (slopes E' and V', see ``moments``), and the
@@ -49,6 +54,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -107,9 +113,29 @@ def gaussian_density(E, V: float, x) -> float | np.ndarray:
 
 
 def check_quad_nodes(M: int) -> None:
-    """Reject an eta-quadrature resolution that composite Simpson cannot use."""
-    if M < 2 or M % 2:
-        raise ScenarioError(f"quadrature nodes M={M}: must be a positive even integer")
+    """Reject a first eta-quadrature level M whose half level M/2 is not whole or that passes the cap."""
+    if M < 2 or M % 2 or M > _MAX_QUAD_NODES:
+        raise ScenarioError(f"quadrature nodes M={M}: must be a positive even integer "
+                            f"at most {_MAX_QUAD_NODES}")
+
+
+@lru_cache(maxsize=32)
+def _clenshaw_curtis(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes sin^2(j pi / 2n), j = 0..n, and weights of the Clenshaw-Curtis rule on [0, 1].
+
+    The weights are the DCT-I of the Chebyshev moments 2 / (1 - m^2), m
+    even, taken by one real FFT of length 2n (Waldvogel, BIT 46, 2006): O(n
+    log n) time and O(n) memory.  Node 2i of level n is node i of level
+    n/2 bit for bit, since 2i (pi / 2n) rounds to exactly i (pi / n).
+    """
+    nodes = np.sin(np.arange(n + 1) * (np.pi / (2 * n))) ** 2
+    m = np.arange(0.0, n + 1, 2.0)
+    moments = np.zeros(n + 1)
+    moments[::2] = 2.0 / (1.0 - m * m)
+    weights = np.fft.irfft(moments, 2 * n)[: n + 1].copy()
+    weights[[0, -1]] *= 0.5
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 class CharFunEvaluator:
@@ -117,10 +143,11 @@ class CharFunEvaluator:
 
     Holds the backward solution (u(0) != 0 by ``hjb.u0_vanishes``), the
     fundamental-solution moment path (started from a Dirac mass at the
-    origin) and the starting eta-quadrature resolution M.  Evaluations
-    double M until two successive composite Simpson values agree to 1e-6
-    and fail if that never happens; each doubling evaluates only the new
-    nodes.  Densities use the moment form, whose only quadrature is the
+    origin) and the first Clenshaw-Curtis level M of the eta-quadrature.
+    An evaluation accepts level M when it agrees with level M/2, from the
+    same M + 1 integrand values, to 1e-6; otherwise it doubles the level,
+    evaluating only the new nodes, and fails past ``_MAX_QUAD_NODES``.
+    Densities use the moment form, whose only quadrature is the
     lambda Q term, on the non-negative frequencies whose modulus bound does
     not underflow (see the module docstring).
     """
@@ -171,39 +198,36 @@ class CharFunEvaluator:
             raise ScenarioError(f"omega: expected vectors of length {self.spec.n}")
         return w
 
-    def _simpson_batch(self, t: float, omegas: np.ndarray, integrand) -> np.ndarray:
-        """Adaptive composite Simpson of `integrand` over eta in [0, t].
+    def _eta_quadrature(self, t: float, omegas: np.ndarray, integrand) -> np.ndarray:
+        """Nested Clenshaw-Curtis of `integrand` over eta in [0, t].
 
-        The whole omega batch shares one quadrature resolution, which keeps
-        the quadrature error smooth in omega (finite-difference moment
-        extraction relies on that).  `integrand` maps nodes of shape (K,)
-        to values of shape (len(omegas), K), node by node: level M's values
-        are kept, a doubling evaluates it at the M new odd nodes only, and
-        each sum is the same as a from-scratch composite Simpson at 2M.
+        The whole omega batch shares one level, which keeps the quadrature
+        error smooth in omega (finite-difference moment extraction relies on
+        that).  `integrand` maps nodes of shape (K,) to values of shape
+        (len(omegas), K), node by node: level n's values are kept, and a
+        doubling evaluates it at the n new odd nodes only, so each sum is
+        the same as a from-scratch Clenshaw-Curtis at its level.
         """
         if t == 0.0:
             return np.zeros(omegas.shape[0], complex)
-        M = self.M
-        f = prev = None
-        while M <= _MAX_QUAD_NODES:
-            if f is None:
-                f = integrand(np.linspace(0.0, t, M + 1))
-            else:
-                # linspace(0, t, M+1)[::2] is bit-identical to the previous
-                # level's nodes, so only the M/2 new odd nodes are evaluated.
-                f_old, f = f, np.empty((f.shape[0], M + 1), complex)
-                f[:, ::2] = f_old
-                f[:, 1::2] = integrand(np.linspace(0.0, t, M + 1)[1::2])
-            wts = np.ones(M + 1)
-            wts[1:-1:2] = 4.0
-            wts[2:-1:2] = 2.0
-            wts *= (t / M) / 3.0
-            val = f @ wts
-            if prev is not None and float(np.max(np.abs(val - prev))) <= 1e-6:
+        n = self.M
+        nodes, wts = _clenshaw_curtis(n)
+        f = integrand(t * nodes)
+        prev = t * (f[:, ::2] @ _clenshaw_curtis(n // 2)[1])
+        while True:
+            val = t * (f @ wts)
+            gap = float(np.max(np.abs(val - prev)))
+            if gap <= 1e-6:
                 return val
-            prev = val
-            M *= 2
-        raise ConvergenceError("eta-quadrature did not stabilize (M vs 2M differ > 1e-6)")
+            if 2 * n > _MAX_QUAD_NODES:
+                raise ConvergenceError(
+                    f"eta-quadrature did not converge: Clenshaw-Curtis level {n} differs from "
+                    f"level {n // 2} by {gap:.3e} > 1e-6 at the cap of {_MAX_QUAD_NODES}")
+            n, prev = 2 * n, val
+            nodes, wts = _clenshaw_curtis(n)
+            f_old, f = f, np.empty((f.shape[0], n + 1), complex)
+            f[:, ::2] = f_old
+            f[:, 1::2] = integrand(t * nodes[1::2])
 
     def _shape_result(self, val: np.ndarray, omega):
         if np.ndim(omega) == 0 or (np.ndim(omega) == 1 and self.spec.n > 1):
@@ -233,7 +257,7 @@ class CharFunEvaluator:
                 out = out - spec.lam * (jump_charfn_batch(spec.jump, R) - 1.0)
             return out
 
-        return self._shape_result(np.exp(-self._simpson_batch(t, w, integrand)), omega)
+        return self._shape_result(np.exp(-self._eta_quadrature(t, w, integrand)), omega)
 
     def eval_charfun_via_moments(self, t: float, omega) -> complex | np.ndarray:
         """Moment form of G_hat; identical to the direct form by construction."""
@@ -244,17 +268,20 @@ class CharFunEvaluator:
         V = float(self.fundamental.V_at(t))
         log_g = -0.5 * np.sum(w * w, axis=-1) * V - 1j * (w @ E)
         if spec.lam > 0:
-            m2_pc = self._M2 / spec.n
-            M1 = self._M1
-
-            def integrand(eta):
-                wt = self._ratio(t, eta)
-                R = w[:, None, :] * wt[None, :, None]
-                comp = 1j * (R @ M1) + 0.5 * m2_pc * np.sum(R * R, axis=-1)
-                return jump_charfn_batch(spec.jump, R) - 1.0 + comp
-
-            log_g = log_g + spec.lam * self._simpson_batch(t, w, integrand)
+            log_g = log_g + self._lambda_Q(t, w)
         return self._shape_result(np.exp(log_g), omega)
+
+    def _lambda_Q(self, t: float, w: np.ndarray) -> np.ndarray:
+        """The moment form's lambda Q(t, w) for frequency vectors w of shape (m, n)."""
+        spec, M1, m2_pc = self.spec, self._M1, self._M2 / self.spec.n
+
+        def integrand(eta):
+            wt = self._ratio(t, eta)
+            R = w[:, None, :] * wt[None, :, None]
+            comp = 1j * (R @ M1) + 0.5 * m2_pc * np.sum(R * R, axis=-1)
+            return jump_charfn_batch(spec.jump, R) - 1.0 + comp
+
+        return spec.lam * self._eta_quadrature(t, w, integrand)
 
     def initial_charfn(self, zeta: np.ndarray) -> np.ndarray:
         """m0_hat on a batch of frequency vectors, shape (..., n)."""
@@ -304,8 +331,8 @@ class CharFunEvaluator:
         One-dimensional only.  Default bounds are mean +- 10 standard
         deviations; explicit bounds must cover at least 8.  m_hat is the
         moment form of G_hat times m0_hat(w * weight(t, 0)): closed form
-        for lambda = 0, otherwise the lambda Q term by Simpson doubling
-        from M in chunks of 512 frequencies.  Frequencies whose
+        for lambda = 0, otherwise the lambda Q term by nested Clenshaw-Curtis
+        from level M in chunks of 512 frequencies.  Frequencies whose
         ``log_modulus_bound`` is below -800 stay exactly 0.0 and are not
         evaluated.  Of the others only the non-negative ones (and the
         Nyquist frequency of an even n_x) are; each negative one is the

@@ -20,14 +20,14 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .charfun import CharFunEvaluator, check_quad_nodes
 from .errors import NumericsError, ScenarioError
 from .hjb import hjb_to_csv
-from .mc import SimConfig, compare_report, endpoints_to_csv, sim_to_csv, simulate_paths
 from .model import parse_scenario, serialize_scenario
 from .moments import moments_to_csv, solve_scenario, solve_scenario_backward
-from .recover import evaluate_fit, fit_parameters, series_from_csv
 from .table import write_table
+
+# charfun, mc and recover are imported by the commands that use them, so that
+# validate and solve do not pay for loading them.
 
 _EXIT_OK = 0
 _EXIT_VALIDATION = 1
@@ -107,6 +107,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_density(args) -> int:
+    from .charfun import CharFunEvaluator, check_quad_nodes
+
     spec = parse_scenario(_read_text(args.scenario, "scenario"))
     times = _parse_times(args.times)
     if not times:
@@ -128,6 +130,8 @@ def _cmd_density(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from .mc import SimConfig, endpoints_to_csv, sim_to_csv, simulate_paths
+
     spec = parse_scenario(_read_text(args.scenario, "scenario"))
     cfg = SimConfig(
         n_paths=args.paths,
@@ -153,6 +157,9 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    from .charfun import CharFunEvaluator, check_quad_nodes
+    from .mc import SimConfig, compare_report, sim_to_csv, simulate_paths
+
     spec = parse_scenario(_read_text(args.scenario, "scenario"))
     times = _parse_times(args.times) if args.times else (spec.T / 2, spec.T)
     omegas = _parse_times(args.omegas) if args.omegas else (0.5, 1.0, 2.0)
@@ -188,6 +195,8 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_recover(args) -> int:
+    from .recover import evaluate_fit, fit_parameters, series_from_csv
+
     series = series_from_csv(_read_text(args.input, "input"))
     params = fit_parameters(series, branch=_BRANCH_NAMES[args.branch])
     diag = evaluate_fit(params, series)

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from mfg_moments import (
     CharFunEvaluator,
+    ConvergenceError,
     DensityGrid,
     GridResolutionError,
     ScenarioError,
@@ -14,7 +16,8 @@ from mfg_moments import (
     propagate_moments,
     solve_backward,
 )
-from mfg_moments.charfun import _LOG_UNDERFLOW
+from mfg_moments.charfun import _LOG_UNDERFLOW, _MAX_QUAD_NODES, _clenshaw_curtis
+from mfg_moments.model import jump_charfn_batch, jump_moments
 
 from conftest import make_spec
 
@@ -225,6 +228,40 @@ def _full_band_density(ev, t, n_x):
     return omega, mhat, np.fft.ifft(mhat * np.exp(1j * omega * x[0])).real / dx
 
 
+class TestClenshawCurtis:
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 16, 33, 64])
+    def test_weights_integrate_polynomials_up_to_degree_n(self, n):
+        nodes, wts = _clenshaw_curtis(n)
+        assert nodes[0] == 0.0 and nodes[-1] == 1.0 and np.all(np.diff(nodes) > 0)
+        assert abs(wts.sum() - 1.0) <= 1e-14
+        for k in range(n + 1):
+            assert abs(wts @ nodes**k - 1.0 / (k + 1)) <= 1e-14, k
+
+    @pytest.mark.parametrize("n", [2, 6, 10, 512, 4096, _MAX_QUAD_NODES])
+    def test_half_level_is_the_even_nodes(self, n):
+        assert np.array_equal(_clenshaw_curtis(n // 2)[0], _clenshaw_curtis(n)[0][::2])
+
+    def test_weights_sum_to_one_at_the_cap(self):
+        nodes, wts = _clenshaw_curtis(_MAX_QUAD_NODES)
+        assert nodes.size == wts.size == _MAX_QUAD_NODES + 1
+        assert abs(wts.sum() - 1.0) <= 1e-13 and wts.min() > 0.0
+
+    def test_noise_never_converges_and_stops_at_the_cap(self, brownian_spec):
+        ev = evaluator(brownian_spec, M=512)
+        rng = np.random.default_rng(17)
+        seen = []
+
+        def noise(eta):
+            seen.append(eta)
+            return rng.standard_normal((1, eta.size)) + 0j
+
+        with pytest.raises(ConvergenceError) as info:
+            ev._eta_quadrature(0.8, np.zeros(1), noise)
+        assert sum(eta.size for eta in seen) == _MAX_QUAD_NODES + 1
+        assert np.array_equal(np.sort(np.concatenate(seen)), 0.8 * _clenshaw_curtis(_MAX_QUAD_NODES)[0])
+        assert f"level {_MAX_QUAD_NODES} differs from level {_MAX_QUAD_NODES // 2} by " in str(info.value)
+
+
 class TestMomentFormInversion:
     DESIGNS = {
         # a = -3 makes u(t)/u(eta) vary fast, so the direct form reaches the most nodes
@@ -262,17 +299,16 @@ class TestMomentFormInversion:
             seen.append(eta)
             return wave(eta)
 
-        val = ev._simpson_batch(t, k, recording)
+        val = ev._eta_quadrature(t, k, recording)
         nodes = np.concatenate(seen)
-        M = nodes.size - 1
-        assert len(seen) >= 4 and M == 8 * 2 ** (len(seen) - 1)
-        # M + 1 distinct nodes in M + 1 evaluations: each node exactly once
-        assert np.array_equal(np.sort(nodes), np.linspace(0.0, t, M + 1))
-        wts = np.ones(M + 1)
-        wts[1:-1:2] = 4.0
-        wts[2:-1:2] = 2.0
-        wts *= (t / M) / 3.0
-        assert np.array_equal(val, wave(np.linspace(0.0, t, M + 1)) @ wts)
+        n = nodes.size - 1
+        # the first call is level M, whose even nodes give level M/2
+        assert seen[0].size == 8 + 1
+        assert len(seen) >= 3 and n == 8 * 2 ** (len(seen) - 1)
+        # n + 1 distinct nodes in n + 1 evaluations: each node exactly once
+        unit, wts = _clenshaw_curtis(n)
+        assert np.array_equal(np.sort(nodes), t * unit)
+        assert np.array_equal(val, t * (wave(t * unit) @ wts))
 
     @pytest.mark.parametrize("n_x", [256, 255, 2048])
     def test_only_the_non_negative_half_is_evaluated(self, monkeypatch, n_x):
@@ -327,6 +363,21 @@ def _focal_free_scenarios(draw, lams=(0.0, 0.5, 2.0)):
 _PROPERTY_OMEGAS = np.linspace(0.5, 20.0, 8)
 
 
+@functools.cache
+def _gauss_legendre():
+    return np.polynomial.legendre.leggauss(2048)
+
+
+def _gauss_legendre_lambda_Q(ev, t, w):
+    """lambda Q(t, w) of the moment form by 2048-point Gauss-Legendre on [0, t], in one dimension."""
+    x, gw = _gauss_legendre()
+    M1, M2 = jump_moments(ev.spec.jump)
+    eta = 0.5 * t * (x + 1.0)
+    R = w[:, None, None] * (float(ev.sol.u_at(t)) / ev.sol.u_at(eta))[None, :, None]
+    g = jump_charfn_batch(ev.spec.jump, R) - 1.0 + 1j * (R @ M1) + 0.5 * M2 * np.sum(R * R, axis=-1)
+    return ev.spec.lam * (g @ (0.5 * t * gw))
+
+
 class TestCharfunProperties:
     @settings(max_examples=20, deadline=None)
     @given(spec=_focal_free_scenarios(), frac=st.floats(0.1, 1.0))
@@ -349,6 +400,16 @@ class TestCharfunProperties:
         phi = np.asarray(ev.eval_solution_charfun(t, w))
         assert np.all(np.abs(phi) <= np.exp(ev.log_modulus_bound(t, w) + 1e-6))
 
+    @settings(max_examples=20, deadline=None)
+    @given(spec=_focal_free_scenarios(lams=(0.5, 2.0)), frac=st.floats(0.1, 1.0),
+           w=st.lists(st.floats(-20.0, 20.0), min_size=1, max_size=8))
+    def test_quadrature_matches_gauss_legendre(self, spec, frac, w):
+        ev = evaluator(spec, N=512, M=64)
+        t, w = frac * spec.T, np.array(w)
+        assert np.max(np.abs(ev._lambda_Q(t, w[:, None]) - _gauss_legendre_lambda_Q(ev, t, w))) <= 1e-9
+        direct, moment = ev.eval_fundamental_charfun(t, w), ev.eval_charfun_via_moments(t, w)
+        assert np.max(np.abs(direct - moment)) <= 1e-8
+
     @settings(max_examples=15, deadline=None)
     @given(spec=_focal_free_scenarios(lams=(0.0,)), frac=st.floats(0.1, 1.0))
     def test_diffusion_density_has_unit_mass(self, spec, frac):
@@ -368,7 +429,7 @@ class TestCharfunProperties:
         mhat = np.zeros(n_x, complex)
         # Every kept frequency is evaluated, not mirrored.  A chunk of 512
         # indices up to n_x // 2 is evaluated in one batch with its negation,
-        # so both signs stop at the Simpson level the chunk alone reaches;
+        # so both signs stop at the quadrature level the chunk alone reaches;
         # indices that are their own partner (0, Nyquist) keep the + value.
         for start in range(0, half.size, 512):
             chunk = half[start : start + 512]
