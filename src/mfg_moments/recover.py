@@ -6,11 +6,17 @@ quadratic in t), so recovery reduces to picking the branch and fitting
 (a, b) plus the linear constants.  The frequency/rate is profiled out:
 for a fixed nu the model is linear in the remaining constants (variable
 projection, Golub & Pereyra 1973), so the nonlinear search runs over
-log(nu) alone.  A fixed log-spaced grid brackets every local minimum of
-the profiled residual and Brent's derivative-free search refines each one;
-no optimization library is needed.  The noise scale K is then identified
-from the variance series with the branch and frequency frozen.  The (a, b)
-covariance comes from sensitivities integrated by ``ode.rk4_linear``.
+log(nu) alone.  The search is seeded by the integral form of the moment
+equation, E'' + 2 a E + b = 0 integrated twice, which is linear in a
+(a direct integral estimator, Dattner & Klaassen 2015): Brent's
+derivative-free search runs once in a bracket around the seed.  A seed
+that fixes the sign of a decisively drops the opposite-sign branch.  Where
+the seed is indecisive or its minimum falls on the bracket's edge, a fixed
+log-spaced grid brackets every local minimum of the profiled residual and
+Brent's search refines each one; no optimization library is needed.  The
+noise scale K is then identified from the variance series with the branch
+and frequency frozen.  The covariance of (a, b_1..b_n) comes from
+sensitivities integrated by ``ode.rk4_linear``.
 """
 
 from __future__ import annotations
@@ -26,11 +32,16 @@ from .ode import rk4_linear
 from .table import read_table, write_table
 
 BRANCHES = ("oscillatory", "exponential", "polynomial")
-# The profiled search: grid size over log(nu), its lowest frequency/rate, and
-# Brent's tolerance on log(nu).
+# The profiled search: grid size over log(nu), its lowest frequency/rate,
+# Brent's tolerance on log(nu), and the half-width in log(nu) of the bracket
+# around the integral seed.
 _GRID_POINTS = 96
 _NU_FLOOR = 1e-3
 _BRENT_TOL = 1e-10
+_SEED_HALF_WIDTH = 0.5
+# Frequencies/rates resolving less than this many radians across the
+# observation window are shape-identical to the polynomial branch.
+_DEGENERATE_RADIANS = 1.5
 
 
 @dataclass(frozen=True)
@@ -62,6 +73,11 @@ class ObservedSeries:
             raise ScenarioError("observation times must be strictly increasing")
         if not (np.all(np.isfinite(t)) and np.all(np.isfinite(self.E)) and np.all(np.isfinite(V))):
             raise ScenarioError("observed series contains non-finite values")
+        for name, x in (("t", t), ("E", E), ("V", V)):
+            peak = float(np.max(np.abs(x)))
+            if not math.isfinite(peak * peak):
+                raise ScenarioError(f"observed {name} reaches magnitude {peak:.3g}, "
+                                    f"whose square overflows float64")
         if np.any(V < 0):
             raise ScenarioError("variance observations must be nonnegative")
 
@@ -76,9 +92,13 @@ class RecoveredParams:
 
     C1/C2 follow the branch conventions of the closed forms (sin/sinh and
     cos/cosh coefficients; for the polynomial branch C1 is the linear and
-    C2 the constant coefficient of E).  ``cov_ab`` is the Gauss-Newton
-    covariance of (a, b); ``identifiable`` is False when the (a, b)
-    direction is degenerate, e.g. for a constant series.
+    C2 the constant coefficient of E).  ``cov_ab`` is the (1+n)x(1+n)
+    Gauss-Newton covariance of (a, b_1..b_n); ``identifiable`` is False when
+    that direction is degenerate, e.g. for a constant series.  ``a_seed`` is
+    the integral-form estimate of a (None when rank-deficient) and ``search``
+    says how nu was found: "seeded" by the one bracketed search around the
+    seed, or "grid" by the fallback grid, also for the polynomial branch,
+    which has no nu to search.  ``to_dict`` leaves both out.
     """
 
     branch: str
@@ -95,6 +115,8 @@ class RecoveredParams:
     cov_ab: np.ndarray
     identifiable: bool
     nu: float = 0.0
+    a_seed: float | None = None
+    search: str = "grid"
 
     def _freq(self) -> float:
         # Derived from a so that perturbing a moves the regenerated curve.
@@ -215,26 +237,76 @@ def _rss_floor(series: ObservedSeries) -> float:
     return (1e-12 * max(1.0, float(np.max(np.abs(series.E))))) ** 2 * series.E.size
 
 
-def _fit_branch_E(branch: str, series: ObservedSeries, nu_min: float = 0.0):
-    """Best E-fit of one branch; returns (nu, beta, rss).
+def _integral_seed(series: ObservedSeries) -> float | None:
+    """Least-squares a of the moment equation in integral form, or None.
+
+    E'' + 2 a E + b = 0 integrates twice to
+    E(t) = E0 + E0' tau - 2 a II E - b tau^2 / 2, with tau = t - t[0] and
+    II E the double integral from t[0]: linear in one shared a and each
+    coordinate's (E0, E0', b).  The integrals are cumulative trapezoid sums
+    of the samples, so any strictly increasing t will do.  Time is scaled to
+    a unit window and E to a unit peak first, so every integral is at most
+    1/2.  Returns None when the system is rank-deficient (a constant series
+    pins only 2 a E + b) or a is not finite.
+    """
+    E = series.E
+    m, n = E.shape
+    window = float(series.t[-1] - series.t[0])
+    peak = float(np.max(np.abs(E)))
+    if peak == 0.0:
+        return None
+    s = (series.t - series.t[0]) / window
+    half_ds = 0.5 * np.diff(s)[:, None]
+
+    def cumtrapz(y):
+        return np.vstack([np.zeros((1, n)), np.cumsum(half_ds * (y[1:] + y[:-1]), axis=0)])
+
+    y = E / peak
+    # Rows of coordinate i form block i; column 0 is a, columns 1+3i..3+3i its (E0, E0', b).
+    design = np.column_stack([-2.0 * cumtrapz(cumtrapz(y)).T.reshape(-1),
+                              np.kron(np.eye(n), np.column_stack([np.ones(m), s, -0.5 * s * s]))])
+    norms = np.linalg.norm(design, axis=0)
+    if not np.all(norms > 0.0):
+        return None
+    coef, _, rank, _ = np.linalg.lstsq(design / norms, y.T.reshape(-1), rcond=1e-10)
+    if rank < design.shape[1]:
+        return None
+    with np.errstate(over="ignore"):
+        a = float(coef[0] / norms[0] / window / window)
+    return a if math.isfinite(a) else None
+
+
+def _seed_branch(a_seed: float | None) -> tuple[str | None, float]:
+    """The branch of a seed's sign and its frequency/rate sqrt(2|a|); (None, 0.0) for none or 0."""
+    if not a_seed:
+        return None, 0.0
+    return ("oscillatory" if a_seed > 0.0 else "exponential"), math.sqrt(2.0 * abs(a_seed))
+
+
+def _fit_branch_E(branch: str, series: ObservedSeries, nu_min: float = 0.0,
+                  seed: float | None = None):
+    """Best E-fit of one branch; returns (nu, beta, rss, search).
 
     The oscillatory and exponential fits minimize the profiled residual
-    over log(nu): a fixed grid of ``_GRID_POINTS`` values brackets every
-    local minimum, and Brent's search refines each; exact fits tie at
-    ``_rss_floor``, so they form one flat minimum.  The search interval is
-    [max(nu_min, ``_NU_FLOOR``), nu_max].  A minimum on one of the problem's
-    own bounds is rejected: ``nu_min`` when it is positive (classification,
-    where an arbitrarily slow oscillation would shadow the polynomial
-    branch), and nu_max, the sampling Nyquist limit above which frequencies
-    alias onto slower ones, or the rate where the hyperbolic basis
-    overflows.  A minimum on the grid's own floor is kept: there the data
-    are a polynomial that the branch reproduces as nu -> 0.  Raises
+    over log(nu) in [max(nu_min, ``_NU_FLOOR``), nu_max]; exact fits tie at
+    ``_rss_floor``, so they form one flat minimum.  With a ``seed`` (a
+    frequency/rate), Brent's search runs once on log(seed) +-
+    ``_SEED_HALF_WIDTH``, clipped to that interval, and its minimum is taken
+    when it lies strictly inside the bracket (search "seeded").  Otherwise
+    (search "grid") a fixed grid of ``_GRID_POINTS`` values brackets every
+    local minimum, and Brent's search refines each.  There a minimum on one
+    of the problem's own bounds is rejected: ``nu_min`` when it is positive
+    (classification, where an arbitrarily slow oscillation would shadow the
+    polynomial branch), and nu_max, the sampling Nyquist limit above which
+    frequencies alias onto slower ones, or the rate where the hyperbolic
+    basis overflows.  A minimum on the grid's own floor is kept: there the
+    data are a polynomial that the branch reproduces as nu -> 0.  Raises
     ``ConvergenceError`` when no minimum is left.
     """
     t, E = series.t, series.E
     if branch == "polynomial":
         beta, resid = _profiled_fit(branch, 0.0, t, E)
-        return 0.0, beta, float(np.sum(resid * resid))
+        return 0.0, beta, float(np.sum(resid * resid)), "grid"
 
     if branch == "oscillatory":
         nu_max = math.pi / float(np.min(np.diff(t)))
@@ -251,27 +323,38 @@ def _fit_branch_E(branch: str, series: ObservedSeries, nu_min: float = 0.0):
         _, resid = _profiled_fit(branch, math.exp(log_nu), t, E)
         return max(float(np.sum(resid * resid)), floor)
 
-    grid = np.linspace(math.log(nu_lo), math.log(nu_max), _GRID_POINTS).tolist()
-    values = [rss(x) for x in grid]
-    bounds = {grid[-1], grid[0]} if nu_min > 0.0 else {grid[-1]}
-    last = len(grid) - 1
-    best = None
-    for i in range(len(grid)):
-        if best is not None and best[0] <= floor:
-            break  # exact to rounding: a later minimum can only tie, and the lower nu wins ties
-        # The first point of a flat run stands for the whole run.
-        if (i > 0 and values[i] >= values[i - 1]) or (i < last and values[i] > values[i + 1]):
-            continue
-        log_nu, value = _brent(rss, grid[max(i - 1, 0)], grid[min(i + 1, last)])
-        if log_nu in bounds:
-            continue
-        if best is None or value < best[0] - 1e-15 * max(1.0, best[0]):
-            best = (value, log_nu)
-    if best is None:
-        raise ConvergenceError(failure)
-    nu = math.exp(best[1])
+    log_lo, log_hi = math.log(nu_lo), math.log(nu_max)
+    log_nu, search = None, "grid"
+    if seed:
+        lo = max(math.log(seed) - _SEED_HALF_WIDTH, log_lo)
+        hi = min(math.log(seed) + _SEED_HALF_WIDTH, log_hi)
+        if lo < hi:
+            x, _ = _brent(rss, lo, hi)
+            if lo < x < hi:
+                log_nu, search = x, "seeded"
+    if log_nu is None:
+        grid = np.linspace(log_lo, log_hi, _GRID_POINTS).tolist()
+        values = [rss(x) for x in grid]
+        bounds = {grid[-1], grid[0]} if nu_min > 0.0 else {grid[-1]}
+        last = len(grid) - 1
+        best = None
+        for i in range(len(grid)):
+            if best is not None and best[0] <= floor:
+                break  # exact to rounding: a later minimum can only tie, and the lower nu wins ties
+            # The first point of a flat run stands for the whole run.
+            if (i > 0 and values[i] >= values[i - 1]) or (i < last and values[i] > values[i + 1]):
+                continue
+            x, value = _brent(rss, grid[max(i - 1, 0)], grid[min(i + 1, last)])
+            if x in bounds:
+                continue
+            if best is None or value < best[0] - 1e-15 * max(1.0, best[0]):
+                best = (value, x)
+        if best is None:
+            raise ConvergenceError(failure)
+        log_nu = best[1]
+    nu = math.exp(log_nu)
     beta, resid = _profiled_fit(branch, nu, t, E)
-    return nu, beta, float(np.sum(resid * resid))
+    return nu, beta, float(np.sum(resid * resid)), search
 
 
 def _aicc(rss: float, m: int, k: int, floor: float) -> float:
@@ -292,86 +375,109 @@ def classify_branch(series: ObservedSeries) -> tuple[str, float]:
     frequency or rate resolves less than 1.5 radians across the whole
     observation window are treated as degenerate: below that the basis is
     shape-identical to the polynomial branch, which would otherwise shadow
-    it on noisy quadratic data.  Returns (branch, confidence) where
-    confidence is the criterion gap to the runner-up;
-    ('indeterminate', 0.0) when every fit is degenerate.
+    it on noisy quadratic data.  An integral seed of a that resolves at
+    least those 1.5 radians decides the sign of a: only its branch is
+    searched, in the seed's bracket, against the polynomial branch, and the
+    opposite-sign branch scores infinity.  Otherwise all three branches are
+    searched.  Returns (branch, confidence) where confidence is the
+    criterion gap to the runner-up; ('indeterminate', 0.0) when every fit
+    is degenerate.
     """
     return _classify(series)[:2]
 
 
 def _classify(series: ObservedSeries):
-    """``classify_branch`` plus the winning branch's (nu, beta, rss) fit, None when indeterminate."""
+    """``classify_branch`` plus the winning branch's ``_fit_branch_E`` fit
+    (None when indeterminate) and the integral seed of a."""
     m = series.E.size
     window = float(series.t[-1] - series.t[0])
-    nu_min = 1.5 / window
+    nu_min = _DEGENERATE_RADIANS / window
     floor = _rss_floor(series)
+    a_seed = _integral_seed(series)
+    seed_branch, nu_seed = _seed_branch(a_seed)
+    decisive = nu_seed * window >= _DEGENERATE_RADIANS
     scores, fits = [], []
     for branch in BRANCHES:
         k = (1 + 3 * series.n) if branch != "polynomial" else 3 * series.n
-        try:
-            fit = _fit_branch_E(branch, series, nu_min=0.0 if branch == "polynomial" else nu_min)
-        except ConvergenceError:
-            fit = None
+        fit = None
+        if not decisive or branch in ("polynomial", seed_branch):
+            try:
+                fit = _fit_branch_E(branch, series,
+                                    nu_min=0.0 if branch == "polynomial" else nu_min,
+                                    seed=nu_seed if decisive else None)
+            except ConvergenceError:
+                pass
         fits.append(fit)
         scores.append(_aicc(fit[2], m, k, floor) if fit and math.isfinite(fit[2]) else math.inf)
     order = sorted(range(3), key=lambda i: (scores[i], i))
     if not math.isfinite(scores[order[0]]):
-        return "indeterminate", 0.0, None
+        return "indeterminate", 0.0, None, a_seed
     confidence = scores[order[1]] - scores[order[0]] if math.isfinite(scores[order[1]]) else math.inf
-    return BRANCHES[order[0]], float(confidence), fits[order[0]]
+    return BRANCHES[order[0]], float(confidence), fits[order[0]], a_seed
 
 
 def _sensitivities(params: RecoveredParams, t: np.ndarray) -> np.ndarray:
-    """Sensitivities of E to (a, b) at the times t, as columns of an (m, 2) array.
+    """Sensitivities of E at the times t, as columns of an (m, n+1) array:
+    E_1..E_n to a, then every E_i to its own b_i.
 
     They solve s'' + 2 a s = forcing from zero initial data, the forcings
-    being -2 E(t) for a and -1 for b, holding the fitted initial values
-    fixed: one ``rk4_linear`` call on 2000 steps up to the last time, read off
-    the Hermite cubics of (s, s').
+    being -2 E_i(t) for a in coordinate i and -1 for b_i, the same in every
+    coordinate, holding the fitted initial values fixed: one ``rk4_linear``
+    call on 2000 steps up to the last time, read off the Hermite cubics of
+    (s, s').
     """
     steps = 2000
     t_max = float(t[-1])
     th = np.linspace(0.0, t_max, 2 * steps + 1)
-    forcing = np.stack([-2.0 * params.E_model(th)[:, 0], -np.ones_like(th)], axis=1)
+    forcing = np.column_stack([-2.0 * params.E_model(th), -np.ones_like(th)])
     a_half = np.full_like(th, params.a)
-    s, sp = rk4_linear(a_half, forcing, (0.0, 0.0), (0.0, 0.0), t_max / steps)
+    width = forcing.shape[1]
+    s, sp = rk4_linear(a_half, forcing, (0.0,) * width, (0.0,) * width, t_max / steps)
     return Hermite(th[::2], s, sp)(t)
 
 
 def _sensitivity_covariance(params: RecoveredParams, series: ObservedSeries, rss: float):
-    """Gauss-Newton covariance of (a, b) from the moment-equation sensitivities.
+    """Gauss-Newton covariance of (a, b_1..b_n) from the moment-equation sensitivities.
 
-    A rank-deficient Jacobian (e.g. constant series, where only 2 a E + b
-    is pinned) flags the pair unidentifiable.
+    Coordinate i's residuals depend on a and on b_i alone, so the Jacobian
+    stacks one block of rows per coordinate.  A rank-deficient Jacobian
+    (e.g. constant series, where only 2 a E + b is pinned) flags the
+    parameters unidentifiable.
     """
+    n = series.n
     with np.errstate(over="ignore", invalid="ignore"):
-        J = _sensitivities(params, series.t)
+        S = _sensitivities(params, series.t)
+        J = np.column_stack([S[:, :n].T.reshape(-1), np.kron(np.eye(n), S[:, n:])])
         jtj = J.T @ J
         cond = np.linalg.cond(jtj) if np.all(np.isfinite(J)) else math.inf
     if not math.isfinite(cond) or cond > 1e10:
-        return np.full((2, 2), math.inf), False
-    dof = max(series.E.size - 4, 1)
+        return np.full((1 + n, 1 + n), math.inf), False
+    dof = max(series.E.size - (1 + 3 * n), 1)
     return rss / dof * np.linalg.inv(jtj), True
 
 
 def fit_parameters(series: ObservedSeries, branch: str | None = None) -> RecoveredParams:
     """Fit a, b and the model constants; then K from the variance series.
 
-    The branch and its E-fit come from classification when not given.  a is
-    identified from the expectation's shape alone; the variance fit reuses
-    the same frequency, its constant offset kept free, and K recovered from
-    the coefficient constraint with any negative discriminant clamped to zero.
+    The branch and its E-fit come from classification when not given.  A
+    forced oscillatory or exponential branch is searched around the integral
+    seed of a when the seed has its sign.  a is identified from the
+    expectation's shape alone; the variance fit reuses the same frequency,
+    its constant offset kept free, and K recovered from the coefficient
+    constraint with any negative discriminant clamped to zero.
     """
     if branch is None:
-        branch, _, fit = _classify(series)
+        branch, _, fit, a_seed = _classify(series)
         if fit is None:
             raise ConvergenceError("all branch fits are degenerate")
     elif branch in BRANCHES:
-        fit = _fit_branch_E(branch, series)
+        a_seed = _integral_seed(series)
+        seed_branch, nu_seed = _seed_branch(a_seed)
+        fit = _fit_branch_E(branch, series, seed=nu_seed if branch == seed_branch else None)
     else:
         raise ScenarioError(f"unknown branch {branch!r}")
 
-    nu, beta, rss = fit
+    nu, beta, rss, search = fit
     t = series.t
 
     if branch == "oscillatory":
@@ -423,11 +529,10 @@ def fit_parameters(series: ObservedSeries, branch: str | None = None) -> Recover
         cov_ab=np.zeros((2, 2)),
         identifiable=True,
         nu=float(nu),
+        a_seed=a_seed,
+        search=search,
     )
-    if series.n == 1:
-        cov, ident = _sensitivity_covariance(params, series, rss)
-        params.cov_ab = cov
-        params.identifiable = ident
+    params.cov_ab, params.identifiable = _sensitivity_covariance(params, series, rss)
     return params
 
 

@@ -384,7 +384,9 @@ class TestRecover:
         (VALID.replace("\n3,7,1\n", "\n3,7\n"), "line 5 has 2 fields"),
         (VALID.replace("\n3,7,1\n", "\n3,x,1\n"), "line 5 holds a value that is not a number"),
         ("t,V\n" + "".join(f"{i},1\n" for i in range(10)), "columns t, E..., V"),
-    ], ids=["empty", "header-only", "ragged-row", "non-numeric", "no-E-column"])
+        ("t,E,V\n" + "".join(f"{t / 49!r},{math.sinh(400 * t / 49)!r},1\n" for t in range(50)),
+         "E reaches magnitude 2.61e+173"),
+    ], ids=["empty", "header-only", "ragged-row", "non-numeric", "no-E-column", "overflow"])
     def test_malformed_input_is_a_one_line_validation_error(self, tmp_path, capsys, text, cause):
         series = tmp_path / "series.csv"
         series.write_text(text)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from mfg_moments import (
     series_to_csv,
 )
 from mfg_moments import recover
-from mfg_moments.recover import _BRENT_TOL, _brent
+from mfg_moments.recover import _BRENT_TOL, _GRID_POINTS, _brent, _integral_seed
 
 
 def synthetic(a, b, K, t, init=None, noise=0.0, seed=0):
@@ -57,6 +58,15 @@ class TestObservedSeries:
     def test_rejects_mismatched_shapes(self, E, V, match):
         with pytest.raises(ScenarioError, match=match):
             ObservedSeries(t=np.linspace(0, 1, 10), E=E, V=V)
+
+    # sinh(400) = 2.6e173: its square overflows, and so did the RSS floor built from it.
+    @pytest.mark.parametrize("column,peak", [("t", "1e+160"), ("E", "2.61e+173"), ("V", "1e+160")])
+    def test_rejects_values_whose_squares_overflow(self, column, peak):
+        t = np.linspace(0, 1, 50)
+        arrays = {"t": t, "E": np.sin(t), "V": np.ones(50)}
+        arrays[column] = np.sinh(400 * t) if column == "E" else 1e160 * arrays[column]
+        with pytest.raises(ScenarioError, match=rf"{column} reaches magnitude {re.escape(peak)}"):
+            ObservedSeries(**arrays)
 
     def test_csv_round_trip(self):
         t = np.linspace(0, 2, 12)
@@ -162,6 +172,70 @@ class TestFit:
         assert abs(params.a - 1.0) < 1e-6
         assert params.b.shape == (2,)
         assert np.allclose(params.b, 0.5, atol=1e-6)
+        assert params.search == "seeded"
+        assert params.cov_ab.shape == (3, 3) and params.identifiable
+        assert np.all(np.isfinite(params.cov_ab))
+        assert np.all(np.linalg.eigvalsh(params.cov_ab) > 0)
+
+    def test_vector_covariance_stacks_the_coordinates(self):
+        # Two copies of one series: the information on a doubles, each b_i keeps
+        # its own, and the residual variance is the RSS over 2m - 7 degrees of freedom.
+        t = np.linspace(0, 5, 50)
+        one = synthetic(1.0, 0.5, 0.3, t, noise=0.01, seed=3)
+        two = ObservedSeries(t=t, E=np.column_stack([one.E, one.E]), V=one.V)
+        p1 = fit_parameters(one, branch="oscillatory")
+        p2 = fit_parameters(two, branch="oscillatory")
+        assert p2.a == pytest.approx(p1.a, rel=1e-8)
+        info = np.linalg.inv(p1.cov_ab) * p1.rms_residual_E**2 * 50 / (50 - 4)
+        expected = np.array([[2 * info[0, 0], info[0, 1], info[0, 1]],
+                             [info[0, 1], info[1, 1], 0.0],
+                             [info[0, 1], 0.0, info[1, 1]]])
+        rss2 = p2.rms_residual_E**2 * 100
+        assert np.allclose(p2.cov_ab, rss2 / (100 - 7) * np.linalg.inv(expected), rtol=1e-6, atol=0)
+
+    def test_constant_vector_series_unidentifiable(self):
+        E = np.column_stack([np.full(30, 2.5), np.full(30, -1.0)])
+        params = fit_parameters(ObservedSeries(t=np.linspace(0, 5, 30), E=E, V=np.ones(30)))
+        assert params.branch == "polynomial"
+        assert not params.identifiable
+        assert params.cov_ab.shape == (3, 3) and np.all(np.isinf(params.cov_ab))
+
+
+class TestIntegralSeed:
+    @pytest.mark.parametrize("a,b,window,spacing", [
+        (1.0, 0.5, 1.08, "uniform"), (-1.0, 0.5, 2.0, "uniform"),
+        (1.0, 0.5, 1.08, "squared"), (-1.0, 0.5, 2.0, "squared"),
+    ])
+    def test_noiseless_seed_is_near_a(self, a, b, window, spacing):
+        u = np.linspace(0, 1, 50)
+        t = window * (u if spacing == "uniform" else u * u)
+        # The trapezoid sums err by O(h^2); t = window u^2 has steps up to twice the uniform one.
+        tol = 1e-3 if spacing == "uniform" else 4e-3
+        assert abs(_integral_seed(synthetic(a, b, 0.3, t)) - a) < tol
+
+    def test_vector_series_has_one_shared_seed(self):
+        t = np.linspace(0, 1.05, 40)
+        inits = [{"E0": 1.0, "E0p": 0.3, "V0": 1.0, "V0p": 0.2},
+                 {"E0": -0.4, "E0p": 1.0, "V0": 1.0, "V0p": 0.2}]
+        E = np.column_stack([synthetic(1.0, b, 0.3, t, init=init).E[:, 0]
+                             for b, init in zip((0.5, -0.2), inits)])
+        a_seed = _integral_seed(ObservedSeries(t=t, E=E, V=np.ones(40)))
+        assert isinstance(a_seed, float) and abs(a_seed - 1.0) < 1e-3
+
+    # +-1 alternating on a uniform grid: every trapezoid cancels, so the a column is zero.
+    @pytest.mark.parametrize("E", [np.full(30, 2.5), np.zeros(30),
+                                   np.column_stack([np.full(30, 2.5), np.full(30, -1.0)]),
+                                   np.where(np.arange(30) % 2 == 0, 1.0, -1.0)],
+                             ids=["constant", "zero", "constant-pair", "alternating"])
+    def test_constant_series_has_no_seed(self, E):
+        series = ObservedSeries(t=np.linspace(0, 5, 30), E=E, V=np.ones(30))
+        assert _integral_seed(series) is None
+        assert fit_parameters(series, branch="oscillatory").a_seed is None
+
+    def test_seed_and_search_stay_out_of_the_dict(self):
+        params = fit_parameters(synthetic(1.0, 0.5, 0.3, np.linspace(0, 5, 50)))
+        assert params.search == "seeded" and abs(params.a_seed - 1.0) < 1e-2
+        assert "a_seed" not in params.to_dict() and "search" not in params.to_dict()
 
 
 class TestProfiledSearch:
@@ -210,6 +284,28 @@ class TestProfiledSearch:
         assert len(count_fits) == n_classify
         assert abs(params.a - 1.0) < 1e-6 and abs(params.b[0] - 0.5) < 1e-6
 
+    def test_seeded_classification_searches_one_bracket(self, count_fits):
+        # acceptance 7's noisy oscillatory series; the grid on all three branches took 548
+        series = synthetic(1.0, 0.5, 0.3, np.linspace(0, 5, 50), noise=0.01, seed=0)
+        assert classify_branch(series)[0] == "oscillatory"
+        assert len(count_fits) <= 100
+        assert set(count_fits) == {"oscillatory", "polynomial"}
+
+    @pytest.mark.parametrize("turns,search", [(1.49, "grid"), (1.51, "seeded")])
+    def test_seed_on_the_degeneracy_threshold(self, count_fits, turns, search):
+        # nu * window = turns: a seed below 1.5 radians across the window leaves both
+        # signs candidates, so the grid runs on both; above, only its own branch is searched.
+        t = np.linspace(0, 5, 50)
+        nu = turns / 5.0
+        params = fit_parameters(synthetic(0.5 * nu * nu, 0.5, 0.3, t))
+        assert (math.sqrt(2 * params.a_seed) * 5.0 >= 1.5) == (search == "seeded")
+        assert params.search == search
+        if search == "grid":
+            assert count_fits.count("oscillatory") > _GRID_POINTS
+            assert count_fits.count("exponential") > _GRID_POINTS
+        else:
+            assert "exponential" not in count_fits and len(count_fits) <= 100
+
     @pytest.mark.parametrize("branch", ["oscillatory", "exponential"])
     def test_exact_fits_tie_instead_of_each_being_refined(self, count_fits, branch):
         # every nu fits a constant exactly, so the profiled residual is rounding noise
@@ -236,3 +332,20 @@ class TestProfiledSearch:
                                                               "V0": 1.0, "V0p": 0.0}))
         assert abs(params.a - a) < 1e-6
         assert abs(params.b[0] - b) < 1e-6
+
+    @settings(max_examples=12, deadline=None)
+    @given(sign=st.sampled_from([1.0, -1.0]), nu=st.floats(0.5, 3.0),
+           turns=st.floats(2.0, 8.0), b=st.floats(-1.0, 1.0), E0=st.floats(-1.0, 1.0),
+           E0p=st.floats(0.5, 1.5))
+    def test_seeded_and_grid_fits_agree(self, sign, nu, turns, b, E0, E0p):
+        a = 0.5 * sign * nu * nu
+        series = synthetic(a, b, 0.3, np.linspace(0, turns / nu, 50),
+                           init={"E0": E0, "E0p": E0p, "V0": 1.0, "V0p": 0.0})
+        seeded = fit_parameters(series)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(recover, "_integral_seed", lambda series: None)
+            grid = fit_parameters(series)
+        assert (seeded.search, grid.search) == ("seeded", "grid")
+        assert seeded.branch == grid.branch
+        assert abs(seeded.a - grid.a) < 1e-8
+        assert abs(seeded.b[0] - grid.b[0]) < 1e-8
