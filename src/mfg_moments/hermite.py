@@ -23,7 +23,8 @@ ROOT_XTOL = 2e-12
 def uniform_step(t: np.ndarray, what: str) -> float:
     """The step of the grid t; ``ScenarioError`` naming ``what`` unless t increases uniformly."""
     h = (t[-1] - t[0]) / (len(t) - 1)
-    if not (h > 0 and np.allclose(np.diff(t), h, rtol=1e-9, atol=0.0)):
+    # Every step within 1e-9 h of h; a NaN step makes the largest deviation NaN, which fails.
+    if not (0.0 < h < np.inf and np.max(np.abs(np.diff(t) - h)) <= 1e-9 * h):
         raise ScenarioError(f"{what} must be increasing and uniformly spaced")
     return float(h)
 

@@ -73,6 +73,10 @@ class ObservedSeries:
             raise ScenarioError("observation times must be strictly increasing")
         if not (np.all(np.isfinite(t)) and np.all(np.isfinite(self.E)) and np.all(np.isfinite(V))):
             raise ScenarioError("observed series contains non-finite values")
+        step = float(np.min(np.diff(t)))
+        if not math.isfinite(math.pi / step):
+            raise ScenarioError(f"observation times have smallest time step {step:.3g}, too small "
+                                f"to bound the oscillatory search (pi / step overflows)")
         for name, x in (("t", t), ("E", E), ("V", V)):
             peak = float(np.max(np.abs(x)))
             if not math.isfinite(peak * peak):
@@ -301,7 +305,8 @@ def _fit_branch_E(branch: str, series: ObservedSeries, nu_min: float = 0.0,
     frequencies alias onto slower ones, or the rate where the hyperbolic
     basis overflows.  A minimum on the grid's own floor is kept: there the
     data are a polynomial that the branch reproduces as nu -> 0.  Raises
-    ``ConvergenceError`` when no minimum is left.
+    ``ConvergenceError`` when no minimum is left, or when the basis
+    overflows at the one found.
     """
     t, E = series.t, series.E
     if branch == "polynomial":
@@ -354,6 +359,8 @@ def _fit_branch_E(branch: str, series: ObservedSeries, nu_min: float = 0.0,
         log_nu = best[1]
     nu = math.exp(log_nu)
     beta, resid = _profiled_fit(branch, nu, t, E)
+    if beta is None:  # the basis overflows at the minimum found
+        raise ConvergenceError(failure)
     return nu, beta, float(np.sum(resid * resid)), search
 
 

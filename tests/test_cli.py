@@ -397,6 +397,17 @@ class TestRecover:
         assert cause in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("branch", ["auto", "osc", "exp"])
+    def test_time_step_too_small_is_a_one_line_validation_error(self, tmp_path, capsys, branch):
+        series = tmp_path / "series.csv"
+        series.write_text("t,E,V\n" + "".join(f"{1e-310 * i / 49!r},{i / 49},1\n" for i in range(50)))
+        out = tmp_path / "out"
+        assert main(["recover", "--input", str(series), "--out", str(out), "--branch", branch]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: ") and err.count("\n") == 1
+        assert "smallest time step" in err
+        assert not out.exists()
+
     def test_branch_override(self, tmp_path):
         t = np.linspace(0, 2, 30)
         lines = ["t,E,V"] + [f"{ti},{1 + 2 * ti},{1.0}" for ti in t]

@@ -20,7 +20,7 @@ from mfg_moments import (
     solve_meanfield_fixedpoint,
 )
 from mfg_moments import hjb, model, propagate_moments
-from mfg_moments.hermite import Hermite
+from mfg_moments.hermite import Hermite, uniform_step
 
 from conftest import make_doc, make_spec
 
@@ -216,6 +216,16 @@ class TestInterpolation:
         t = np.array([0.0, 1.0, 3.0])
         with pytest.raises(ScenarioError, match="uniform"):
             Hermite(t, t, np.ones(3))
+
+    @pytest.mark.parametrize("t", [
+        [0.0, np.nan, 2.0],      # NaN steps, finite mean step
+        [0.0, 1.0, np.nan],      # NaN mean step
+        [0.0, np.inf, 2.0],      # infinite steps, finite mean step
+        [0.0, 1.0, np.inf],      # infinite mean step
+    ], ids=["nan-step", "nan-mean", "inf-step", "inf-mean"])
+    def test_non_finite_step_rejected(self, t):
+        with pytest.raises(ScenarioError, match="^grid must be increasing and uniformly spaced$"):
+            uniform_step(np.array(t), "grid")
 
 
 class TestWeight:

@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mfg_moments import RecoveredParams, propagate_moments, solve_backward
-from mfg_moments.ode import cumsimpson, rk4_linear
+from mfg_moments.ode import _BLOCK, cumsimpson, rk4_linear
 from mfg_moments.recover import _sensitivities
 
 from conftest import make_spec
@@ -91,6 +93,62 @@ def test_step_maps_reproduce_the_step_by_step_loop(h):
     ref = rk4_reference(a_half, f_half, (0.4, -1.0), (1.2, 0.5), h)
     for g, r in zip(got, ref):
         assert np.max(np.abs(g - r)) < 1e-13 * max(1.0, float(np.max(np.abs(r))))
+
+
+def assert_matches_reference(a_half, f_half, y0, yp0, h, rel):
+    """rk4_linear against rk4_reference, each output column to ``rel`` of its largest value."""
+    got = rk4_linear(a_half, f_half, y0, yp0, h)
+    ref = rk4_reference(a_half, f_half, y0, yp0, h)
+    for g, r in zip(got, ref):
+        assert g.shape == r.shape
+        assert np.all(np.abs(g - r) <= rel * np.max(np.abs(r), axis=0))
+
+
+# Step counts the scan treats differently: applied in turn (K <= 2 B), whole blocks,
+# one step past whole blocks, and up to three levels of blocks.
+STEPS = st.one_of(st.integers(1, 2 * _BLOCK),
+                  st.integers(3, 3 * _BLOCK).map(lambda m: m * _BLOCK),
+                  st.integers(3, 3 * _BLOCK).map(lambda m: m * _BLOCK + 1),
+                  st.integers(1, 3 * _BLOCK * _BLOCK))
+
+
+@settings(max_examples=40, deadline=None)
+@given(K=STEPS, width=st.integers(1, 5), backward=st.booleans(), T=st.floats(0.5, 3.0),
+       amp=st.floats(0.5, 8.0), seed=st.integers(0, 2**32 - 1))
+def test_scan_matches_the_step_by_step_loop(K, width, backward, T, amp, seed):
+    rng = np.random.default_rng(seed)
+    th = np.linspace(0.0, T, 2 * K + 1)
+    # a runs from -amp to amp, so the solutions both oscillate and grow.
+    a_half = amp * (2.0 * th / T - 1.0) + 0.3 * np.sin(5.0 * th)
+    f_half = np.cos(np.outer(th, rng.uniform(0.0, 6.0, width)) + rng.uniform(0.0, 6.0, width))
+    y0, yp0 = rng.uniform(-1.0, 1.0, width), rng.uniform(-1.0, 1.0, width)
+    if backward:
+        assert_matches_reference(a_half[::-1], f_half[::-1], y0, yp0, -T / K, 1e-12)
+    else:
+        assert_matches_reference(a_half, f_half, y0, yp0, T / K, 1e-12)
+
+
+@pytest.mark.parametrize("backward", [False, True])
+def test_scan_on_strongly_growing_and_decaying_solutions(backward):
+    # a = -8: the solutions combine exp(4t) and exp(-4t), whose ratio reaches e^24 at T = 3;
+    # columns (1, 0), (0, 1), the decaying data (1, -4) and f = -1 from rest.
+    N, T = 4096, 3.0
+    a_half = np.full(2 * N + 1, -8.0)
+    f_half = np.zeros((2 * N + 1, 4))
+    f_half[:, 3] = -1.0
+    y0, yp0 = (1.0, 0.0, 1.0, 0.0), (0.0, 1.0, -4.0, 0.0)
+    h = -T / N if backward else T / N
+    assert_matches_reference(a_half, f_half, y0, yp0, h, 1e-12)
+
+
+@pytest.mark.parametrize("N", [10, 4096, 2000])
+def test_outputs_are_c_contiguous(N):
+    th = np.linspace(0.0, 1.0, 2 * N + 1)
+    for f_half in (np.zeros((2 * N + 1, 1)), np.ones((2 * N + 1, 3))):
+        y, yp = rk4_linear(np.cos(th)[::-1], f_half[::-1], np.ones(f_half.shape[1]),
+                           np.zeros(f_half.shape[1]), -1.0 / N)
+        for out in (y, yp):
+            assert out.shape == (N + 1, f_half.shape[1]) and out.flags.c_contiguous
 
 
 def test_unforced_zero_coefficient_is_exact():

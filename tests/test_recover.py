@@ -68,6 +68,12 @@ class TestObservedSeries:
         with pytest.raises(ScenarioError, match=rf"{column} reaches magnitude {re.escape(peak)}"):
             ObservedSeries(**arrays)
 
+    # pi / 1e-310 overflows: the oscillatory search had no finite Nyquist bound.
+    def test_rejects_a_time_step_too_small_to_bound_the_frequency(self):
+        t = 1e-310 * np.linspace(0, 1, 50)
+        with pytest.raises(ScenarioError, match=r"smallest time step 2\.04e-312"):
+            ObservedSeries(t=t, E=np.sin(3 * t), V=np.ones(50))
+
     def test_csv_round_trip(self):
         t = np.linspace(0, 2, 12)
         series = ObservedSeries(t=t, E=np.sin(t), V=1 + 0.1 * t)
@@ -319,6 +325,13 @@ class TestProfiledSearch:
         series = ObservedSeries(t=4000.0 * np.arange(8), E=np.ones(8), V=np.ones(8))
         with pytest.raises(ConvergenceError, match=r"profiled oscillatory search .*\[0, 0.000785398\]"):
             fit_parameters(series, branch="oscillatory")
+
+    def test_forced_branch_without_a_finite_fit_raises(self):
+        # cosh(nu t) overflows at t = -1e6 for every nu above the search floor 1e-3
+        t = np.linspace(-1e6, 1.0, 50)
+        series = ObservedSeries(t=t, E=np.sin(3 * t), V=np.ones(50))
+        with pytest.raises(ConvergenceError, match="profiled exponential search"):
+            fit_parameters(series, branch="exponential")
 
     @settings(max_examples=12, deadline=None)
     @given(sign=st.sampled_from([1.0, -1.0]), nu=st.floats(0.5, 3.0),
