@@ -37,7 +37,7 @@ BRANCHES = ("oscillatory", "exponential", "polynomial")
 # around the integral seed.
 _GRID_POINTS = 96
 _NU_FLOOR = 1e-3
-_BRENT_TOL = 1e-10
+_BRENT_TOL = 1e-12
 _SEED_HALF_WIDTH = 0.5
 # Frequencies/rates resolving less than this many radians across the
 # observation window are shape-identical to the polynomial branch.
@@ -304,7 +304,11 @@ def _fit_branch_E(branch: str, series: ObservedSeries, nu_min: float = 0.0,
     polynomial branch), and nu_max, the sampling Nyquist limit above which
     frequencies alias onto slower ones, or the rate where the hyperbolic
     basis overflows.  A minimum on the grid's own floor is kept: there the
-    data are a polynomial that the branch reproduces as nu -> 0.  Raises
+    data are a polynomial that the branch reproduces as nu -> 0.  Brent's
+    search itself minimizes the unfloored residual: the floor is about 1e-11
+    wide in log(nu) around an exact fit, where a strongly growing basis still
+    moves b by 1e-8, so both searches locate that minimum to
+    ``_BRENT_TOL`` and agree.  Raises
     ``ConvergenceError`` when no minimum is left, or when the basis
     overflows at the one found.
     """
@@ -324,9 +328,12 @@ def _fit_branch_E(branch: str, series: ObservedSeries, nu_min: float = 0.0,
 
     floor = _rss_floor(series)
 
-    def rss(log_nu):
+    def raw_rss(log_nu):
         _, resid = _profiled_fit(branch, math.exp(log_nu), t, E)
-        return max(float(np.sum(resid * resid)), floor)
+        return float(np.sum(resid * resid))
+
+    def rss(log_nu):
+        return max(raw_rss(log_nu), floor)
 
     log_lo, log_hi = math.log(nu_lo), math.log(nu_max)
     log_nu, search = None, "grid"
@@ -334,7 +341,7 @@ def _fit_branch_E(branch: str, series: ObservedSeries, nu_min: float = 0.0,
         lo = max(math.log(seed) - _SEED_HALF_WIDTH, log_lo)
         hi = min(math.log(seed) + _SEED_HALF_WIDTH, log_hi)
         if lo < hi:
-            x, _ = _brent(rss, lo, hi)
+            x, _ = _brent(raw_rss, lo, hi)
             if lo < x < hi:
                 log_nu, search = x, "seeded"
     if log_nu is None:
@@ -349,7 +356,8 @@ def _fit_branch_E(branch: str, series: ObservedSeries, nu_min: float = 0.0,
             # The first point of a flat run stands for the whole run.
             if (i > 0 and values[i] >= values[i - 1]) or (i < last and values[i] > values[i + 1]):
                 continue
-            x, value = _brent(rss, grid[max(i - 1, 0)], grid[min(i + 1, last)])
+            x, value = _brent(raw_rss, grid[max(i - 1, 0)], grid[min(i + 1, last)])
+            value = max(value, floor)
             if x in bounds:
                 continue
             if best is None or value < best[0] - 1e-15 * max(1.0, best[0]):
