@@ -259,7 +259,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("recover", _cmd_recover, help="fit cost parameters from observations")
     p.add_argument("--input", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--branch", choices=sorted(_BRANCH_NAMES), default="auto")
+    p.add_argument("--branch", choices=sorted(_BRANCH_NAMES), default="auto",
+                   help="restrict the sign of a: osc a > 0, exp a < 0, poly a = 0; auto fits "
+                        "signed a and keeps a = 0 unless a likelihood-ratio test rejects it")
 
     return parser
 

@@ -46,7 +46,7 @@ from .model import (
     scalar_fn,
     vector_fn,
 )
-from .ode import cumsimpson, rk4_linear
+from .ode import cumsimpson, require_finite, rk4_linear
 from .table import read_table, write_table
 
 # |u| below this is treated as a zero of the linearizer.
@@ -180,6 +180,8 @@ def solve_backward(spec: ScenarioSpec, N: int = 4096, b_override=None) -> HjbSol
         tainted = spec.delta > 0 or spec.lam > 0 or not _v_vanishes(v)
         if tainted:
             C = np.where(t_grid < max(singular) + 0.5 * h, np.nan, C)
+    C_after_focal = np.where(t_grid < max(singular, default=-h) + 0.5 * h, 0.0, C)
+    require_finite("backward solve", t_grid[::-1], v=v[::-1], C=C_after_focal[::-1])
 
     return HjbSolution(
         t=t_grid,
@@ -242,6 +244,7 @@ def _linearize(spec: ScenarioSpec, N: int) -> _Linearizer:
 
     A_T = spec.terminal.A_T
     y, yp = rk4_linear(a_grid[::-1], np.zeros((2 * N + 1, 1)), (1.0,), (2.0 * A_T,), -h)
+    require_finite("backward solve", t[::-1], u=y, u_prime=yp)
     u, udot = y[::-1, 0], yp[::-1, 0]
     uddot = -2.0 * a_grid[::2] * u
     return _Linearizer(

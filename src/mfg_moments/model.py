@@ -138,14 +138,14 @@ def _coordinate_moments(jump: JumpDistribution | None) -> tuple[np.ndarray, np.n
         return z0.copy(), z0 * z0
     if jump.kind == "gaussian":
         mu = np.asarray(jump.mu)
-        return mu.copy(), mu * mu + jump.sigma**2
+        return mu.copy(), mu * mu + jump.sigma * jump.sigma
     if jump.kind == "uniform":
         lo = np.asarray(jump.lo)
         hi = np.asarray(jump.hi)
         return (lo + hi) / 2.0, (lo * lo + lo * hi + hi * hi) / 3.0
     if jump.kind == "exponential":
         r = jump.rate
-        return np.full(jump.n, 1.0 / r), np.full(jump.n, 2.0 / r**2)
+        return np.full(jump.n, 1.0 / r), 2.0 / np.full(jump.n, r * r)
     raise ScenarioError(f"jump: unknown type {jump.kind!r}")
 
 
@@ -381,6 +381,13 @@ def validate_scenario(spec: ScenarioSpec) -> ScenarioSpec:
         raise ScenarioError("jump required when lambda>0")
     if spec.jump is not None:
         spec.jump.validate(spec.n)
+        # E[Z_i] overflows only where E[Z_i^2] does; lambda E|Z|^2 may overflow on its own.
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            m2 = _coordinate_moments(spec.jump)[1]
+            if not math.isfinite(spec.lam * float(np.sum(m2))):
+                field = "lambda" if np.all(np.isfinite(m2)) else \
+                    f"jump.{spec.jump.kind}.{'/'.join(_JUMP_PARAMS[spec.jump.kind])}"
+                raise ScenarioError(f"{field}: the jump moments overflow float64")
     for name, coef in (("a", spec.cost.a), ("b", spec.cost.b), ("c", spec.cost.c)):
         if coef.kind == "meanfield":
             if name != "b":
@@ -411,7 +418,6 @@ def validate_scenario(spec: ScenarioSpec) -> ScenarioSpec:
         raise ScenarioError("initial: v0 = 0 exactly when kind is dirac")
     if spec.lam > 0 and spec.n > 1:
         # Scalar variance dynamics require equal per-coordinate second moments.
-        m2 = _coordinate_moments(spec.jump)[1]
         if np.max(np.abs(m2 - m2[0])) > 1e-9 * max(1.0, float(m2[0])):
             raise ScenarioError(
                 "jump: per-coordinate second moments must be equal for dimension > 1"

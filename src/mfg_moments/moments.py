@@ -39,7 +39,7 @@ from .errors import ConvergenceError, FormulaValidationError, ScenarioError
 from .hermite import Hermite, uniform_step
 from .hjb import HjbSolution, _linearize, nonzero_u0, solve_backward
 from .model import InitialLaw, ScenarioSpec, eval_scalar_grid, eval_vector_grid
-from .ode import rk4_linear
+from .ode import require_finite, rk4_linear
 from .table import read_table, write_table
 
 # A closed form whose moment-equation residual exceeds this (relative) is rejected.
@@ -117,6 +117,8 @@ def fundamental_path(sol: HjbSolution, spec: ScenarioSpec) -> MomentPath:
     forcing = np.hstack([-b_grid, np.zeros((2 * N + 1, 1))])
     slope0 = (*(sol.v[0] / u0 + spec.lam_M1), 1.0 / u0)
     y, yp = rk4_linear(a_grid, forcing, np.zeros(n + 1), slope0, t[1] - t[0])
+    require_finite("fundamental path", t, E=y[:, :n], E_prime=yp[:, :n], psi=y[:, n],
+                   psi_prime=yp[:, n])
     E, psi = y[:, :n], y[:, n]
     return MomentPath(t=t, E=E, E_prime=yp[:, :n], E_second=-2.0 * a_grid[::2, None] * E - b_grid[::2],
                       V=K * sol.u * psi, V_prime=K * (sol.udot * psi + sol.u * yp[:, n]), K=K)

@@ -11,12 +11,15 @@ maps gives the block-start states, and one product assembles the rest.
 States are always carried forward by the maps themselves, never by
 variation of constants, which cancels catastrophically where a(t) < 0
 makes the solutions grow and decay.  ``cumsimpson`` integrates quantities
-whose derivative is already known along a solution, such as v and C.
+whose derivative is already known along a solution, such as v and C, and
+``stumpff`` gives the exact solution basis for constant a.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .errors import NumericsError
 
 # Steps per block of the scan (``_scan``).
 _BLOCK = 32
@@ -111,10 +114,46 @@ def rk4_linear(a_half, f_half, y0, yp0, h):
     initial data.  To march backward, pass the half-grid arrays reversed
     and a negative h.  The N step maps are applied as a blocked scan
     (``_scan``), which agrees with applying them one at a time to rounding.
+    Solutions beyond float64 come back as inf or nan, without a warning.
     """
-    P, q = _step_maps(a_half, f_half, h)
-    z = _scan(P, q, np.array([y0, yp0], float))
+    with np.errstate(over="ignore", invalid="ignore"):
+        P, q = _step_maps(a_half, f_half, h)
+        z = _scan(P, q, np.array([y0, yp0], float))
     return z[0], z[1]
+
+
+def require_finite(stage: str, t, **columns) -> None:
+    """``NumericsError`` naming the stage, the column and the first time, in
+    the order of t, at which a column (rows along t) is not finite."""
+    first = {name: np.argmin(np.isfinite(np.reshape(v, (len(t), -1))).all(axis=1))
+             for name, v in columns.items() if not np.all(np.isfinite(v))}
+    if first:
+        name = min(first, key=first.get)
+        raise NumericsError(f"{stage}: {name} leaves float64 (not finite) at t = {t[first[name]]:.6g}")
+
+
+def stumpff(a, tau):
+    """The Stumpff functions ``C, S, S2`` of ``y'' + 2 a y = f`` at the times tau.
+
+    For constant a and f, ``y(tau) = y0 C + y0' S + f S2`` from (y0, y0') at
+    tau = 0: cos(nu tau), sin(nu tau)/nu and (1 - C)/nu^2 with nu = sqrt(2a)
+    for a > 0, their hyperbolic forms for a < 0, and 1, tau, tau^2/2 at
+    a = 0 (Danby, "Fundamentals of Celestial Mechanics", 1988, 6.9).  From
+    the half angle x = nu tau / 2 in sinc form, ``S(tau/2) = tau sinc(x)/2``,
+    ``S2 = 2 S(tau/2)^2``, ``C = 1 - 2a S2`` and ``S = 2 S(tau/2) C(tau/2)``,
+    so nothing cancels near a = 0.  ``C' = -2a S``, ``S' = C``, ``S2' = S``.
+    a and tau broadcast; overflow gives inf.
+    """
+    a = np.asarray(a, float)
+    tau = np.asarray(tau, float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = np.sqrt(0.5 * np.abs(a)) * tau
+        trig = a > 0.0
+        sinc = np.divide(np.where(trig, np.sin(x), np.sinh(x)), x, out=np.ones_like(x),
+                         where=x != 0.0)
+        h = tau * sinc
+        S2 = 0.5 * h * h
+        return 1.0 - 2.0 * a * S2, h * np.where(trig, np.cos(x), np.cosh(x)), S2
 
 
 def cumsimpson(g_half, h):

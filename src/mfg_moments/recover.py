@@ -1,21 +1,21 @@
 """Cost-parameter recovery from observed moment trajectories.
 
-Constant coefficients only: the expectation follows one of three explicit
-families depending on the sign of a (trigonometric, hyperbolic, or
-quadratic in t), so recovery reduces to picking the branch and fitting
-(a, b) plus the linear constants.  The frequency/rate is profiled out:
-for a fixed nu the model is linear in the remaining constants (variable
-projection, Golub & Pereyra 1973), so the nonlinear search runs over
-log(nu) alone.  The search is seeded by the integral form of the moment
-equation, E'' + 2 a E + b = 0 integrated twice, which is linear in a
-(a direct integral estimator, Dattner & Klaassen 2015): Brent's
-derivative-free search runs once in a bracket around the seed.  A seed
-that fixes the sign of a decisively drops the opposite-sign branch.  Where
-the seed is indecisive or its minimum falls on the bracket's edge, a fixed
-log-spaced grid brackets every local minimum of the profiled residual and
-Brent's search refines each one; no optimization library is needed.  The
-noise scale K is then identified from the variance series with the branch
-and frequency frozen.  The covariance of (a, b_1..b_n) comes from
+Constant coefficients only: the expectation solves E'' + 2 a E + b = 0, so
+``E = E0 C + E0' S - b S2`` in the Stumpff functions of ``ode.stumpff``,
+one family over signed a that is trigonometric for a > 0, hyperbolic for
+a < 0 and quadratic at a = 0.  For a fixed a the model is linear in
+(E0, E0', b) (variable projection, Golub & Pereyra 1973), so the nonlinear
+search runs over one number, s = asinh(a w^2) with w the observation
+window, in time scaled to a unit window.  The search is seeded by the
+integral form of the moment equation, which is linear in a (a direct
+integral estimator, Dattner & Klaassen 2015): Brent's derivative-free
+search runs once in a bracket around the seed, and where its minimum falls
+on the bracket's edge a fixed grid over the whole signed range brackets
+every local minimum for Brent's search to refine; no optimization library
+is needed.  The branch is the sign of the fitted a when a likelihood-ratio
+test rejects a = 0 (Wilks 1938), and polynomial otherwise.  The noise
+scale K is then identified from the variance series, the same family at
+4a, with a frozen.  The covariance of (a, b_1..b_n) comes from
 sensitivities integrated by ``ode.rk4_linear``.
 """
 
@@ -28,20 +28,22 @@ import numpy as np
 
 from .errors import ConvergenceError, ScenarioError
 from .hermite import Hermite
-from .ode import rk4_linear
+from .ode import rk4_linear, stumpff
 from .table import read_table, write_table
 
 BRANCHES = ("oscillatory", "exponential", "polynomial")
-# The profiled search: grid size over log(nu), its lowest frequency/rate,
-# Brent's tolerance on log(nu), and the half-width in log(nu) of the bracket
+# The profiled search over s = asinh(a w^2): grid size over the signed
+# range, Brent's tolerance on s, and the half-width in s of the bracket
 # around the integral seed.
 _GRID_POINTS = 96
-_NU_FLOOR = 1e-3
 _BRENT_TOL = 1e-12
 _SEED_HALF_WIDTH = 0.5
-# Frequencies/rates resolving less than this many radians across the
-# observation window are shape-identical to the polynomial branch.
-_DEGENERATE_RADIANS = 1.5
+# The smallest |s| a forced oscillatory or exponential fit takes.  A
+# polynomial series is their a -> 0 limit: the fit's residual grows like
+# |s| and the rounding of C2 = E(0) + b/(2a) like 1/|s|, both about 1e-8.
+_S_FLOOR = 1e-8
+# The likelihood ratio that rejects a = 0: chi-square, 1 degree of freedom, level 1e-3.
+_LR_CRITICAL = 10.83
 
 
 @dataclass(frozen=True)
@@ -76,7 +78,7 @@ class ObservedSeries:
         step = float(np.min(np.diff(t)))
         if not math.isfinite(math.pi / step):
             raise ScenarioError(f"observation times have smallest time step {step:.3g}, too small "
-                                f"to bound the oscillatory search (pi / step overflows)")
+                                f"for float64 (the Nyquist frequency pi / step overflows)")
         for name, x in (("t", t), ("E", E), ("V", V)):
             peak = float(np.max(np.abs(x)))
             if not math.isfinite(peak * peak):
@@ -96,13 +98,15 @@ class RecoveredParams:
 
     C1/C2 follow the branch conventions of the closed forms (sin/sinh and
     cos/cosh coefficients; for the polynomial branch C1 is the linear and
-    C2 the constant coefficient of E).  ``cov_ab`` is the (1+n)x(1+n)
-    Gauss-Newton covariance of (a, b_1..b_n); ``identifiable`` is False when
-    that direction is degenerate, e.g. for a constant series.  ``a_seed`` is
-    the integral-form estimate of a (None when rank-deficient) and ``search``
-    says how nu was found: "seeded" by the one bracketed search around the
-    seed, or "grid" by the fallback grid, also for the polynomial branch,
-    which has no nu to search.  ``to_dict`` leaves both out.
+    C2 the constant coefficient of E), as do C1_V, C2_V and v_const.  The
+    models read them back as initial data at t = 0 of the one Stumpff
+    family.  ``cov_ab`` is the (1+n)x(1+n) Gauss-Newton covariance of
+    (a, b_1..b_n); ``identifiable`` is False when that direction is
+    degenerate, e.g. for a constant series.  ``a_seed`` is the integral-form
+    estimate of a (None when rank-deficient) and ``search`` says how a was
+    found: "seeded" by the one bracketed search around the seed, or "grid"
+    by the fallback grid, also for the polynomial branch, which has no a to
+    search.  ``to_dict`` leaves both out.
     """
 
     branch: str
@@ -122,31 +126,18 @@ class RecoveredParams:
     a_seed: float | None = None
     search: str = "grid"
 
-    def _freq(self) -> float:
-        # Derived from a so that perturbing a moves the regenerated curve.
-        return math.sqrt(2.0 * abs(self.a))
-
     def E_model(self, t) -> np.ndarray:
-        t = np.asarray(t, float)
-        if self.branch == "oscillatory":
-            nu = self._freq()
-            basis = np.stack([np.sin(nu * t), np.cos(nu * t)], axis=1)
-            return basis @ np.stack([self.C1, self.C2]) - self.b / (2.0 * self.a)
-        if self.branch == "exponential":
-            mu = self._freq()
-            basis = np.stack([np.sinh(mu * t), np.cosh(mu * t)], axis=1)
-            return basis @ np.stack([self.C1, self.C2]) - self.b / (2.0 * self.a)
-        return self.C2 + np.outer(t, self.C1) - 0.5 * np.outer(t * t, self.b)
+        # Read from a, so that perturbing a moves the regenerated curve.
+        a = self.a
+        E0, E0p = (self.C2, self.C1) if a == 0.0 else (self.C2 - self.b / (2.0 * a),
+                                                        self.C1 * math.sqrt(2.0 * abs(a)))
+        C, S, S2 = stumpff(a, np.asarray(t, float)[:, None])
+        return C * E0 + S * E0p - S2 * self.b
 
     def V_model(self, t) -> np.ndarray:
-        t = np.asarray(t, float)
-        if self.branch == "oscillatory":
-            nu = self._freq()
-            return self.v_const + self.C1_V * np.sin(2 * nu * t) + self.C2_V * np.cos(2 * nu * t)
-        if self.branch == "exponential":
-            mu = self._freq()
-            return self.C1_V + self.v_const * np.exp(2 * mu * t) + self.C2_V * np.exp(-2 * mu * t)
-        return self.v_const + self.C1_V * t + self.C2_V * t * t
+        V0, V0p, c = np.linalg.solve(_variance_map(self.a), [self.C1_V, self.C2_V, self.v_const])
+        C, S, S2 = stumpff(4.0 * self.a, np.asarray(t, float))
+        return V0 * C + V0p * S + c * S2
 
     def to_dict(self) -> dict:
         return {
@@ -167,20 +158,15 @@ class RecoveredParams:
         }
 
 
-def _design(branch: str, nu: float, t: np.ndarray) -> np.ndarray:
-    with np.errstate(over="ignore"):
-        if branch == "oscillatory":
-            return np.stack([np.sin(nu * t), np.cos(nu * t), np.ones_like(t)], axis=1)
-        if branch == "exponential":
-            return np.stack([np.sinh(nu * t), np.cosh(nu * t), np.ones_like(t)], axis=1)
-        return np.stack([np.ones_like(t), t, t * t], axis=1)
+def _unit_time(series: ObservedSeries) -> tuple[np.ndarray, float]:
+    """The times scaled to the unit window, tau = (t - t[0]) / w, and the window w."""
+    window = float(series.t[-1] - series.t[0])
+    return (series.t - series.t[0]) / window, window
 
 
-def _profiled_fit(branch: str, nu: float, t: np.ndarray, E: np.ndarray):
-    """Linear constants and residuals for a frozen frequency/rate."""
-    design = _design(branch, nu, t)
-    if not np.all(np.isfinite(design)):
-        return None, np.full_like(E, 1e50)
+def _profiled_fit(alpha: float, tau: np.ndarray, E: np.ndarray):
+    """(E0, E0' w, -b w^2) at tau = 0 and the residuals, for a frozen alpha = a w^2."""
+    design = np.stack(stumpff(alpha, tau), axis=1)
     beta, *_ = np.linalg.lstsq(design, E, rcond=None)
     return beta, E - design @ beta
 
@@ -255,11 +241,10 @@ def _integral_seed(series: ObservedSeries) -> float | None:
     """
     E = series.E
     m, n = E.shape
-    window = float(series.t[-1] - series.t[0])
     peak = float(np.max(np.abs(E)))
     if peak == 0.0:
         return None
-    s = (series.t - series.t[0]) / window
+    s, window = _unit_time(series)
     half_ds = 0.5 * np.diff(s)[:, None]
 
     def cumtrapz(y):
@@ -280,83 +265,69 @@ def _integral_seed(series: ObservedSeries) -> float | None:
     return a if math.isfinite(a) else None
 
 
-def _seed_branch(a_seed: float | None) -> tuple[str | None, float]:
-    """The branch of a seed's sign and its frequency/rate sqrt(2|a|); (None, 0.0) for none or 0."""
-    if not a_seed:
-        return None, 0.0
-    return ("oscillatory" if a_seed > 0.0 else "exponential"), math.sqrt(2.0 * abs(a_seed))
+def _fit_E(series: ObservedSeries, branch: str | None, a_seed: float | None):
+    """Best E-fit over s = asinh(a w^2); returns (s, beta, rss, search).
 
-
-def _fit_branch_E(branch: str, series: ObservedSeries, nu_min: float = 0.0,
-                  seed: float | None = None):
-    """Best E-fit of one branch; returns (nu, beta, rss, search).
-
-    The oscillatory and exponential fits minimize the profiled residual
-    over log(nu) in [max(nu_min, ``_NU_FLOOR``), nu_max]; exact fits tie at
-    ``_rss_floor``, so they form one flat minimum.  With a ``seed`` (a
-    frequency/rate), Brent's search runs once on log(seed) +-
-    ``_SEED_HALF_WIDTH``, clipped to that interval, and its minimum is taken
-    when it lies strictly inside the bracket (search "seeded").  Otherwise
-    (search "grid") a fixed grid of ``_GRID_POINTS`` values brackets every
-    local minimum, and Brent's search refines each.  There a minimum on one
-    of the problem's own bounds is rejected: ``nu_min`` when it is positive
-    (classification, where an arbitrarily slow oscillation would shadow the
-    polynomial branch), and nu_max, the sampling Nyquist limit above which
-    frequencies alias onto slower ones, or the rate where the hyperbolic
-    basis overflows.  A minimum on the grid's own floor is kept: there the
-    data are a polynomial that the branch reproduces as nu -> 0.  Brent's
-    search itself minimizes the unfloored residual: the floor is about 1e-11
-    wide in log(nu) around an exact fit, where a strongly growing basis still
-    moves b by 1e-8, so both searches locate that minimum to
-    ``_BRENT_TOL`` and agree.  Raises
-    ``ConvergenceError`` when no minimum is left, or when the basis
-    overflows at the one found.
+    ``branch`` restricts s to [``_S_FLOOR``, ...] for "oscillatory", to
+    [..., -``_S_FLOOR``] for "exponential" and to 0 for "polynomial"; None
+    leaves its sign free.  s ends at the sampling's Nyquist limit above
+    (faster frequencies alias onto slower ones) and where the hyperbolic
+    basis overflows below.  Brent's search runs once on the seed's
+    s +- ``_SEED_HALF_WIDTH``, clipped to that range, and its minimum is
+    taken when strictly inside the bracket (search "seeded").  Otherwise
+    (search "grid") ``_GRID_POINTS`` values, in order of growing |a| for a
+    forced sign, bracket every local minimum for Brent's search to refine.
+    Exact fits tie at ``_rss_floor`` and form one flat minimum, and the
+    first wins ties.  A minimum on the Nyquist or overflow bound is rejected,
+    one on ``_S_FLOOR`` kept: there the data are a polynomial, the a -> 0
+    limit of the branch.  Brent's search minimizes the unfloored residual:
+    the floor is about 1e-11 wide in s around an exact fit, where a
+    strongly growing basis still moves b by 1e-8, so both searches locate
+    that minimum to ``_BRENT_TOL`` and agree.  ``ConvergenceError`` when no
+    minimum is left.
     """
-    t, E = series.t, series.E
+    tau, window = _unit_time(series)
+    E = series.E
     if branch == "polynomial":
-        beta, resid = _profiled_fit(branch, 0.0, t, E)
+        beta, resid = _profiled_fit(0.0, tau, E)
         return 0.0, beta, float(np.sum(resid * resid)), "grid"
 
-    if branch == "oscillatory":
-        nu_max = math.pi / float(np.min(np.diff(t)))
-    else:
-        nu_max = 700.0 / max(float(t[-1]), 1e-12)
-    nu_lo = max(nu_min, _NU_FLOOR)
-    failure = f"profiled {branch} search found no minimum inside nu in [{nu_min:.6g}, {nu_max:.6g}]"
-    if not nu_lo < nu_max:
-        raise ConvergenceError(failure)
+    # The basis stays finite between a = -0.5 (700 / w)^2, where the hyperbolic one
+    # nears overflow, and the largest Nyquist frequency of a finite s.
+    ratio = min(math.pi * window / float(np.min(np.diff(series.t))), 1e150)
+    s_max, s_min = math.asinh(0.5 * ratio * ratio), -math.asinh(0.5 * 700.0**2)
+    lo, hi = {"oscillatory": (_S_FLOOR, s_max), "exponential": (s_min, -_S_FLOOR),
+              None: (s_min, s_max)}[branch]
+    failure = (f"profiled {branch or 'signed'} search found no minimum inside a in "
+               f"[{math.sinh(lo) / window / window:.6g}, {math.sinh(hi) / window / window:.6g}]")
 
     floor = _rss_floor(series)
 
-    def raw_rss(log_nu):
-        _, resid = _profiled_fit(branch, math.exp(log_nu), t, E)
+    def raw_rss(s):
+        _, resid = _profiled_fit(math.sinh(s), tau, E)
         return float(np.sum(resid * resid))
 
-    def rss(log_nu):
-        return max(raw_rss(log_nu), floor)
-
-    log_lo, log_hi = math.log(nu_lo), math.log(nu_max)
-    log_nu, search = None, "grid"
-    if seed:
-        lo = max(math.log(seed) - _SEED_HALF_WIDTH, log_lo)
-        hi = min(math.log(seed) + _SEED_HALF_WIDTH, log_hi)
-        if lo < hi:
-            x, _ = _brent(raw_rss, lo, hi)
-            if lo < x < hi:
-                log_nu, search = x, "seeded"
-    if log_nu is None:
-        grid = np.linspace(log_lo, log_hi, _GRID_POINTS).tolist()
-        values = [rss(x) for x in grid]
-        bounds = {grid[-1], grid[0]} if nu_min > 0.0 else {grid[-1]}
+    s, search = None, "grid"
+    if a_seed is not None:
+        seed = math.asinh(a_seed * window * window)
+        if lo <= seed <= hi:
+            b_lo, b_hi = max(seed - _SEED_HALF_WIDTH, lo), min(seed + _SEED_HALF_WIDTH, hi)
+            x, _ = _brent(raw_rss, b_lo, b_hi)
+            if b_lo < x < b_hi:
+                s, search = x, "seeded"
+    if s is None:
+        grid = np.linspace(*((hi, lo) if branch == "exponential" else (lo, hi)), _GRID_POINTS).tolist()
+        values = [max(raw_rss(x), floor) for x in grid]
+        bounds = {s_min, s_max}
         last = len(grid) - 1
         best = None
         for i in range(len(grid)):
             if best is not None and best[0] <= floor:
-                break  # exact to rounding: a later minimum can only tie, and the lower nu wins ties
+                break  # exact to rounding: a later minimum can only tie, and the first wins ties
             # The first point of a flat run stands for the whole run.
             if (i > 0 and values[i] >= values[i - 1]) or (i < last and values[i] > values[i + 1]):
                 continue
-            x, value = _brent(raw_rss, grid[max(i - 1, 0)], grid[min(i + 1, last)])
+            x, value = _brent(raw_rss, *sorted((grid[max(i - 1, 0)], grid[min(i + 1, last)])))
             value = max(value, floor)
             if x in bounds:
                 continue
@@ -364,71 +335,43 @@ def _fit_branch_E(branch: str, series: ObservedSeries, nu_min: float = 0.0,
                 best = (value, x)
         if best is None:
             raise ConvergenceError(failure)
-        log_nu = best[1]
-    nu = math.exp(log_nu)
-    beta, resid = _profiled_fit(branch, nu, t, E)
-    if beta is None:  # the basis overflows at the minimum found
-        raise ConvergenceError(failure)
-    return nu, beta, float(np.sum(resid * resid)), search
-
-
-def _aicc(rss: float, m: int, k: int, floor: float) -> float:
-    # Fits at numerical zero are indistinguishable; flooring the RSS at the
-    # round-off level makes the parameter-count penalty decide between them.
-    rss = max(rss, floor)
-    penalty = 2.0 * k
-    if m - k - 1 > 0:
-        penalty += 2.0 * k * (k + 1) / (m - k - 1)
-    return m * math.log(rss / m) + penalty
+        s = best[1]
+    beta, resid = _profiled_fit(math.sinh(s), tau, E)
+    return s, beta, float(np.sum(resid * resid)), search
 
 
 def classify_branch(series: ObservedSeries) -> tuple[str, float]:
-    """Pick the branch with the smallest small-sample information criterion.
+    """The sign of the fitted a, unless a likelihood-ratio test keeps a = 0.
 
-    The criterion is AICc on the expectation fit:
-    m ln(RSS/m) + 2k + 2k(k+1)/(m-k-1).  Oscillatory/exponential fits whose
-    frequency or rate resolves less than 1.5 radians across the whole
-    observation window are treated as degenerate: below that the basis is
-    shape-identical to the polynomial branch, which would otherwise shadow
-    it on noisy quadratic data.  An integral seed of a that resolves at
-    least those 1.5 radians decides the sign of a: only its branch is
-    searched, in the seed's bracket, against the polynomial branch, and the
-    opposite-sign branch scores infinity.  Otherwise all three branches are
-    searched.  Returns (branch, confidence) where confidence is the
-    criterion gap to the runner-up; ('indeterminate', 0.0) when every fit
-    is degenerate.
+    The statistic is ``L = m ln(RSS0 / RSS)``, with RSS the expectation
+    fit over signed a, RSS0 the fit at a = 0 (the polynomial branch), both
+    floored at the round-off level ``_rss_floor`` and m the number of
+    values of E.  Under a = 0 it is chi-square with one degree of freedom
+    (Wilks 1938), so a = 0 is rejected when L > 10.83, the level 1e-3.
+    Returns (branch, confidence) where confidence is |L - 10.83|, the
+    statistic's distance from that threshold; ('indeterminate', 0.0) when
+    no fit is finite.
     """
     return _classify(series)[:2]
 
 
 def _classify(series: ObservedSeries):
-    """``classify_branch`` plus the winning branch's ``_fit_branch_E`` fit
-    (None when indeterminate) and the integral seed of a."""
-    m = series.E.size
-    window = float(series.t[-1] - series.t[0])
-    nu_min = _DEGENERATE_RADIANS / window
-    floor = _rss_floor(series)
+    """``classify_branch`` plus the chosen fit of ``_fit_E`` (None when
+    indeterminate) and the integral seed of a."""
     a_seed = _integral_seed(series)
-    seed_branch, nu_seed = _seed_branch(a_seed)
-    decisive = nu_seed * window >= _DEGENERATE_RADIANS
-    scores, fits = [], []
-    for branch in BRANCHES:
-        k = (1 + 3 * series.n) if branch != "polynomial" else 3 * series.n
+    poly = _fit_E(series, "polynomial", None)
+    try:
+        fit = _fit_E(series, None, a_seed)
+    except ConvergenceError:
         fit = None
-        if not decisive or branch in ("polynomial", seed_branch):
-            try:
-                fit = _fit_branch_E(branch, series,
-                                    nu_min=0.0 if branch == "polynomial" else nu_min,
-                                    seed=nu_seed if decisive else None)
-            except ConvergenceError:
-                pass
-        fits.append(fit)
-        scores.append(_aicc(fit[2], m, k, floor) if fit and math.isfinite(fit[2]) else math.inf)
-    order = sorted(range(3), key=lambda i: (scores[i], i))
-    if not math.isfinite(scores[order[0]]):
+    floor = _rss_floor(series)
+    stat = series.E.size * math.log(max(poly[2], floor) / max(fit[2], floor)) if fit else 0.0
+    if not math.isfinite(poly[2]) and not stat > 0.0:
         return "indeterminate", 0.0, None, a_seed
-    confidence = scores[order[1]] - scores[order[0]] if math.isfinite(scores[order[1]]) else math.inf
-    return BRANCHES[order[0]], float(confidence), fits[order[0]], a_seed
+    confidence = abs(stat - _LR_CRITICAL)
+    if stat > _LR_CRITICAL:
+        return ("oscillatory" if fit[0] > 0.0 else "exponential"), confidence, fit, a_seed
+    return "polynomial", confidence, poly, a_seed
 
 
 def _sensitivities(params: RecoveredParams, t: np.ndarray) -> np.ndarray:
@@ -437,17 +380,15 @@ def _sensitivities(params: RecoveredParams, t: np.ndarray) -> np.ndarray:
 
     They solve s'' + 2 a s = forcing from zero initial data, the forcings
     being -2 E_i(t) for a in coordinate i and -1 for b_i, the same in every
-    coordinate, holding the fitted initial values fixed: one ``rk4_linear``
-    call on 2000 steps up to the last time, read off the Hermite cubics of
-    (s, s').
+    coordinate, holding the fitted values at the first time fixed: one
+    ``rk4_linear`` call on 2000 steps across the observed window, read off
+    the Hermite cubics of (s, s').
     """
     steps = 2000
-    t_max = float(t[-1])
-    th = np.linspace(0.0, t_max, 2 * steps + 1)
+    th = np.linspace(float(t[0]), float(t[-1]), 2 * steps + 1)
     forcing = np.column_stack([-2.0 * params.E_model(th), -np.ones_like(th)])
-    a_half = np.full_like(th, params.a)
-    width = forcing.shape[1]
-    s, sp = rk4_linear(a_half, forcing, (0.0,) * width, (0.0,) * width, t_max / steps)
+    zero = np.zeros(forcing.shape[1])
+    s, sp = rk4_linear(np.full_like(th, params.a), forcing, zero, zero, (th[-1] - th[0]) / steps)
     return Hermite(th[::2], s, sp)(t)
 
 
@@ -471,64 +412,63 @@ def _sensitivity_covariance(params: RecoveredParams, series: ObservedSeries, rss
     return rss / dof * np.linalg.inv(jtj), True
 
 
+def _variance_map(a: float) -> np.ndarray:
+    """The matrix from (V(0), V'(0), c) of V'' + 8 a V = c to the closed forms' (C1_V, C2_V, v_const).
+
+    a > 0: V = v_const + C1_V sin(2 nu t) + C2_V cos(2 nu t); a < 0:
+    V = C1_V + v_const exp(2 nu t) + C2_V exp(-2 nu t); a = 0:
+    V = v_const + C1_V t + C2_V t^2; nu = sqrt(2 |a|).
+    """
+    if a == 0.0:
+        return np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.5], [1.0, 0.0, 0.0]])
+    d, k = 0.5 / math.sqrt(2.0 * abs(a)), 0.125 / a  # V'(0)/(2 nu) and c/(8a), per unit
+    if a > 0.0:
+        return np.array([[0.0, d, 0.0], [1.0, 0.0, -k], [0.0, 0.0, k]])
+    return np.array([[0.0, 0.0, k], [0.5, -0.5 * d, -0.5 * k], [0.5, 0.5 * d, -0.5 * k]])
+
+
 def fit_parameters(series: ObservedSeries, branch: str | None = None) -> RecoveredParams:
     """Fit a, b and the model constants; then K from the variance series.
 
-    The branch and its E-fit come from classification when not given.  A
-    forced oscillatory or exponential branch is searched around the integral
-    seed of a when the seed has its sign.  a is identified from the
-    expectation's shape alone; the variance fit reuses the same frequency,
-    its constant offset kept free, and K recovered from the coefficient
-    constraint with any negative discriminant clamped to zero.
+    The branch and its E-fit come from classification when not given; a
+    given branch restricts the sign of a (``_fit_E``).  a is identified from
+    the expectation's shape alone.  The variance fit reuses a: the variance
+    solves V'' + 8 a V = c, so ``V = V0 C + V0' S + c S2`` at 4a, and K
+    follows from the invariant ``K^2 = V'^2 - 2 V (c - 4 a V)``, any
+    negative value clamped to zero.
     """
     if branch is None:
         branch, _, fit, a_seed = _classify(series)
         if fit is None:
-            raise ConvergenceError("all branch fits are degenerate")
+            raise ConvergenceError("no expectation fit is finite")
     elif branch in BRANCHES:
         a_seed = _integral_seed(series)
-        seed_branch, nu_seed = _seed_branch(a_seed)
-        fit = _fit_branch_E(branch, series, seed=nu_seed if branch == seed_branch else None)
+        fit = _fit_E(series, branch, a_seed)
     else:
         raise ScenarioError(f"unknown branch {branch!r}")
 
-    nu, beta, rss, search = fit
-    t = series.t
+    s, beta, rss, search = fit
+    tau, w = _unit_time(series)
+    alpha = math.sinh(s)
+    design = np.stack(stumpff(4.0 * alpha, tau), axis=1)
+    coef, *_ = np.linalg.lstsq(design, series.V, rcond=None)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        a, b, c = alpha / w / w, -beta[2] / w / w, coef[2] / w / w
+        K = math.sqrt(max(coef[1] ** 2 - 2.0 * coef[0] * (coef[2] - 4.0 * alpha * coef[0]), 0.0)) / w
+        # The closed forms' constants hold at t = 0: the initial data there whose
+        # curves best reproduce the fitted ones at the observed times.
+        E_basis, V_basis = stumpff(a, series.t), stumpff(4.0 * a, series.t)
+    if not np.all(np.isfinite(np.hstack([a, K, b, c, *E_basis, *V_basis]))):
+        raise ConvergenceError(f"the fitted constants overflow float64 on the window {w:.6g}")
+    E_fit = np.stack(stumpff(alpha, tau), axis=1) @ beta
+    (E0, E0p), *_ = np.linalg.lstsq(np.column_stack(E_basis[:2]), E_fit + np.outer(E_basis[2], b),
+                                    rcond=None)
+    (V0, V0p), *_ = np.linalg.lstsq(np.column_stack(V_basis[:2]), design @ coef - V_basis[2] * c,
+                                    rcond=None)
+    nu = math.sqrt(2.0 * abs(a))
+    C1, C2 = (E0p, E0) if a == 0.0 else (E0p / nu, E0 + b / (2.0 * a))
+    C1_V, C2_V, v_const = _variance_map(a) @ (V0, V0p, c)
 
-    if branch == "oscillatory":
-        a = 0.5 * nu * nu
-        C1, C2, d = beta[0], beta[1], beta[2]
-        b = -2.0 * a * d
-    elif branch == "exponential":
-        a = -0.5 * nu * nu
-        C1, C2, d = beta[0], beta[1], beta[2]
-        b = -2.0 * a * d
-    else:
-        a = 0.0
-        C2, C1, p2 = beta[0], beta[1], beta[2]
-        b = -2.0 * p2
-
-    # Variance fit with the branch and frequency frozen.
-    V = series.V
-    if branch == "oscillatory":
-        design = np.stack([np.ones_like(t), np.sin(2 * nu * t), np.cos(2 * nu * t)], axis=1)
-        (v_const, C1_V, C2_V), *_ = np.linalg.lstsq(design, V, rcond=None)
-        K2 = 8.0 * a * (C1_V**2 + C2_V**2 - v_const**2)
-        V_fit = design @ np.array([v_const, C1_V, C2_V])
-    elif branch == "exponential":
-        design = np.stack([np.ones_like(t), np.exp(2 * nu * t), np.exp(-2 * nu * t)], axis=1)
-        (C1_V, P, C2_V), *_ = np.linalg.lstsq(design, V, rcond=None)
-        K2 = 32.0 * a * P * C2_V - 8.0 * a * C1_V**2
-        v_const = P
-        V_fit = design @ np.array([C1_V, P, C2_V])
-    else:
-        design = np.stack([np.ones_like(t), t, t * t], axis=1)
-        (v_const, C1_V, C2_V), *_ = np.linalg.lstsq(design, V, rcond=None)
-        K2 = C1_V**2 - 4.0 * C2_V * v_const
-        V_fit = design @ np.array([v_const, C1_V, C2_V])
-    K = math.sqrt(max(K2, 0.0))
-
-    m = series.E.size
     params = RecoveredParams(
         branch=branch,
         a=float(a),
@@ -539,8 +479,8 @@ def fit_parameters(series: ObservedSeries, branch: str | None = None) -> Recover
         C1_V=float(C1_V),
         C2_V=float(C2_V),
         v_const=float(v_const),
-        rms_residual_E=math.sqrt(rss / m),
-        rms_residual_V=math.sqrt(float(np.sum((V - V_fit) ** 2)) / len(V)),
+        rms_residual_E=math.sqrt(rss / series.E.size),
+        rms_residual_V=math.sqrt(float(np.sum((series.V - design @ coef) ** 2)) / len(series.V)),
         cov_ab=np.zeros((2, 2)),
         identifiable=True,
         nu=float(nu),

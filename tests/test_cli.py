@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -61,6 +62,28 @@ class TestValidate:
         f = tmp_path / "s.json"
         f.write_text(json.dumps(doc))
         assert main(["solve", "--scenario", str(f), "--out", str(tmp_path / "o"), "--grid", "128"]) == 2
+
+    # sigma^2 overflows: validate passed it and solve died in an OverflowError traceback.
+    @pytest.mark.parametrize("command", ["validate", "solve"])
+    def test_jump_moments_that_overflow_are_a_validation_error(self, tmp_path, capsys, command):
+        f = tmp_path / "s.json"
+        f.write_text(json.dumps(dict(PURE_JUMP, jump={"type": "gaussian",
+                                                      "params": {"mu": 0.0, "sigma": 1e300}})))
+        out = ["--out", str(tmp_path / "o")] if command == "solve" else []
+        assert main([command, "--scenario", str(f), *out]) == 1
+        err = capsys.readouterr().err
+        assert err == "validation error: jump.gaussian.mu/sigma: the jump moments overflow float64\n"
+
+    # u grows like exp(2.3e6) backward from T: the solve wrote nan files and exited 0.
+    def test_solution_beyond_float64_is_a_numerical_error(self, tmp_path, capsys):
+        f = tmp_path / "s.json"
+        f.write_text(json.dumps(make_doc(T=1e6, a=-2.72, A_T=2.07, delta=0.5, x0=0.3)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["solve", "--scenario", str(f), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numerical error: backward solve: u leaves float64") and "t = " in err
+        assert not (tmp_path / "o").exists()
 
     def test_unknown_flag_exits_usage(self, scenario_file, tmp_path, capsys):
         code = main(["solve", "--scenario", scenario_file, "--out", str(tmp_path), "--bogus"])
@@ -407,6 +430,16 @@ class TestRecover:
         assert err.startswith("validation error: ") and err.count("\n") == 1
         assert "smallest time step" in err
         assert not out.exists()
+
+    def test_window_at_negative_times(self, tmp_path):
+        series = tmp_path / "series.csv"
+        series.write_text("t,E,V\n" + "".join(f"{t!r},{math.sin(3 * t)!r},1\n"
+                                                for t in np.linspace(-2, -1, 50).tolist()))
+        out = tmp_path / "out"
+        assert main(["recover", "--input", str(series), "--out", str(out)]) == 0
+        doc = json.loads((out / "recovered.json").read_text())
+        assert doc["branch"] == "oscillatory"
+        assert abs(doc["a"] - 4.5) < 1e-9
 
     def test_branch_override(self, tmp_path):
         t = np.linspace(0, 2, 30)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mfg_moments import RecoveredParams, propagate_moments, solve_backward
-from mfg_moments.ode import _BLOCK, cumsimpson, rk4_linear
+from mfg_moments.ode import _BLOCK, cumsimpson, rk4_linear, stumpff
 from mfg_moments.recover import _sensitivities
 
 from conftest import make_spec
@@ -62,6 +62,27 @@ def test_forward_and_backward_columns_match_closed_forms(a):
     yb, ypb = rk4_linear(a_half[::-1], f[::-1], y_ref[-1], yp_ref[-1], -T / N)
     assert np.max(np.abs(yb[::-1] - y_ref)) < 1e-11 * scale
     assert np.max(np.abs(ypb[::-1] - yp_ref)) < 1e-11 * scale
+
+
+@pytest.mark.parametrize("a", [1.5, -1.2, 0.0, 40.0, -40.0])
+def test_stumpff_matches_the_closed_forms(a):
+    tau = np.linspace(-2.0, 2.0, 41)
+    c, s = basis(a, tau)
+    s2 = (1 - c) / (2 * a) if a else tau * tau / 2
+    C, S, S2 = stumpff(a, tau)
+    for got, ref in ((C, c), (S, s), (S2, s2)):
+        assert np.max(np.abs(got - ref) / np.maximum(np.abs(ref), 1.0)) < 1e-13
+    # The Wronskian of (C, S) is 1, and C = 1 - 2a S2.
+    assert np.max(np.abs(C * C + 2 * a * S * S - 1) / np.maximum(C * C, 1.0)) < 1e-13
+
+
+@settings(max_examples=12, deadline=None)
+@given(a=st.floats(-1e-15, 1e-15), tau=st.floats(-3.0, 3.0))
+def test_stumpff_is_continuous_through_a_zero(a, tau):
+    # |2 a tau^2| <= 1.8e-14: -a, 0 and a (broadcast against one tau) agree to 1e-14 relative.
+    C, S, S2 = stumpff(np.array([-a, 0.0, a]), tau)
+    for f in (C, S, S2):
+        assert np.max(np.abs(f - f[1])) <= 1e-14 * abs(f[1])
 
 
 def rk4_reference(a_half, f_half, y0, yp0, h):
